@@ -1,13 +1,21 @@
-"""Canonical binary primitives shared by the wire format and digests.
+"""Canonical binary primitives of the message payloads.
 
 Little-endian fixed-width integers and IEEE-754 doubles; composite
-fields are count-prefixed by their encoders. The reader bounds-checks
-every access so arbitrary input can never over-read or crash a decoder.
+fields are count-prefixed by their encoders. Every field and every
+fixed run of fields has one precompiled ``struct.Struct``: the writer
+packs a run into its buffer with one call, and the reader unpacks a run
+at its offset with one call, without slicing. The reader bounds-checks
+every access before unpacking, so arbitrary input can never over-read or
+crash a decoder: running past the end raises ``TruncatedInput``.
 """
 
 from __future__ import annotations
 
 import struct
+
+U8 = struct.Struct("<B")
+U32 = struct.Struct("<I")
+U64 = struct.Struct("<Q")
 
 
 class TruncatedInput(Exception):
@@ -19,27 +27,20 @@ class Writer:
         self._buf = bytearray()
 
     def u8(self, v: int) -> "Writer":
-        self._buf += struct.pack("<B", v)
+        self._buf += U8.pack(v)
         return self
 
     def u32(self, v: int) -> "Writer":
-        self._buf += struct.pack("<I", v)
+        self._buf += U32.pack(v)
         return self
 
     def u64(self, v: int) -> "Writer":
-        self._buf += struct.pack("<Q", v)
+        self._buf += U64.pack(v)
         return self
 
-    def i64(self, v: int) -> "Writer":
-        self._buf += struct.pack("<q", v)
-        return self
-
-    def f64(self, v: float) -> "Writer":
-        self._buf += struct.pack("<d", v)
-        return self
-
-    def raw(self, b: bytes) -> "Writer":
-        self._buf += b
+    def pack(self, fmt: struct.Struct, *values) -> "Writer":
+        """Append a fixed run of fields packed with one call."""
+        self._buf += fmt.pack(*values)
         return self
 
     def getvalue(self) -> bytes:
@@ -54,30 +55,32 @@ class Reader:
         self._data = data
         self._pos = pos
 
-    def _take(self, n: int) -> bytes:
-        if self._pos + n > len(self._data):
-            raise TruncatedInput(f"need {n} bytes at offset {self._pos}")
-        chunk = self._data[self._pos:self._pos + n]
-        self._pos += n
-        return chunk
+    def unpack(self, fmt: struct.Struct) -> tuple:
+        """Read a fixed run of fields with one call."""
+        pos = self._pos
+        end = pos + fmt.size
+        if end > len(self._data):
+            raise TruncatedInput(f"need {fmt.size} bytes at offset {pos}")
+        self._pos = end
+        return fmt.unpack_from(self._data, pos)
+
+    def unpack_many(self, fmt: struct.Struct, n: int) -> list[tuple]:
+        """Read n consecutive runs of the same fields with one call."""
+        pos = self._pos
+        end = pos + fmt.size * n
+        if end > len(self._data):
+            raise TruncatedInput(f"need {n} x {fmt.size} bytes at offset {pos}")
+        self._pos = end
+        return list(fmt.iter_unpack(memoryview(self._data)[pos:end]))
 
     def u8(self) -> int:
-        return struct.unpack("<B", self._take(1))[0]
+        return self.unpack(U8)[0]
 
     def u32(self) -> int:
-        return struct.unpack("<I", self._take(4))[0]
+        return self.unpack(U32)[0]
 
     def u64(self) -> int:
-        return struct.unpack("<Q", self._take(8))[0]
-
-    def i64(self) -> int:
-        return struct.unpack("<q", self._take(8))[0]
-
-    def f64(self) -> float:
-        return struct.unpack("<d", self._take(8))[0]
-
-    def raw(self, n: int) -> bytes:
-        return self._take(n)
+        return self.unpack(U64)[0]
 
     def remaining(self) -> int:
         return len(self._data) - self._pos

@@ -3,9 +3,15 @@
 Local adjustment optimizes a covisibility window around a center
 keyframe; global adjustment optimizes a whole map. Both minimize squared
 range-bearing residuals with a step-halving line search, so accepted
-iterations never increase cost. Normal equations are assembled in block
-form (vectorized) and solved densely; a failed Cholesky factorization on
-the first iteration reports a singular system and leaves the map intact.
+iterations never increase cost. A failed Cholesky factorization on the
+first iteration reports a singular system and leaves the map intact.
+
+A problem is gathered from the map once, in one pass over its free map
+points, into flat per-residual arrays; the destination of every entry of
+the normal equations is computed then too. Each iteration forms the
+per-observation 2x5 Jacobian blocks as arrays and sums them into a dense
+J^T J and J^T r with ``np.bincount``, which adds in index order, and the
+dense system is solved through its Cholesky factor.
 """
 
 from __future__ import annotations
@@ -42,65 +48,84 @@ class _Problem:
         self.mp_index = {mid: base + 2 * i for i, mid in enumerate(free_mps)}
         self.n_vars = base + 2 * len(free_mps)
 
-        kf_col: list[int] = []
-        mp_col: list[int] = []
-        fixed_x: list[float] = []
-        fixed_y: list[float] = []
-        fixed_t: list[float] = []
-        ranges: list[float] = []
-        bearings: list[float] = []
+        # One row per residual pair: (kf column or -1, point column,
+        # observer pose x, y, theta, range, bearing).
+        rows: list[tuple] = []
+        append = rows.append
+        keyframes_get = m.keyframes.get
+        kf_index_get = self.kf_index.get
         for mid in free_mps:
-            mp = m.map_points[mid]
-            for kid in sorted(mp.observers):
-                kf = m.keyframes.get(kid)
-                if kf is None or mid not in kf.observations:
+            mp_col = self.mp_index[mid]
+            for kid in sorted(m.map_points[mid].observers):
+                kf = keyframes_get(kid)
+                if kf is None:
                     continue
-                o = kf.observations[mid]
-                col = self.kf_index.get(kid, -1)
-                kf_col.append(col)
-                if col < 0:
-                    fixed_x.append(kf.pose.x)
-                    fixed_y.append(kf.pose.y)
-                    fixed_t.append(kf.pose.theta)
-                else:
-                    fixed_x.append(0.0)
-                    fixed_y.append(0.0)
-                    fixed_t.append(0.0)
-                mp_col.append(self.mp_index[mid])
-                ranges.append(o.range)
-                bearings.append(o.bearing)
+                o = kf.observations.get(mid)
+                if o is None:
+                    continue
+                p = kf.pose
+                append((kf_index_get(kid, -1), mp_col, p.x, p.y, p.theta,
+                        o.range, o.bearing))
 
-        self.n_obs = len(kf_col)
-        self.kf_col = np.array(kf_col, dtype=int)
-        self.mp_col = np.array(mp_col, dtype=int)
+        self.n_obs = len(rows)
+        table = np.array(rows, dtype=float).reshape(self.n_obs, 7).T
+        self.kf_col = table[0].astype(int)
+        self.mp_col = table[1].astype(int)
         self.free_mask = self.kf_col >= 0
-        self.fixed_x = np.array(fixed_x)
-        self.fixed_y = np.array(fixed_y)
-        self.fixed_t = np.array(fixed_t)
-        self.obs_range = np.array(ranges)
-        self.obs_bearing = np.array(bearings)
+        self.any_free = bool(self.free_mask.any())
+        # The gather index of _geometry: fixed rows read column 0 and are
+        # then replaced by their own pose.
+        self._safe_col = np.where(self.free_mask, self.kf_col, 0)
+        self.fixed_x = np.where(self.free_mask, 0.0, table[2])
+        self.fixed_y = np.where(self.free_mask, 0.0, table[3])
+        self.fixed_t = np.where(self.free_mask, 0.0, table[4])
+        self.obs_range = table[5].copy()
+        self.obs_bearing = table[6].copy()
+
+        # Where each 2x5 Jacobian block lands: columns [kf.x, kf.y,
+        # kf.theta, mp.x, mp.y]. A fixed observer's pose columns point at
+        # 0 and carry zeroed entries, which accumulate harmlessly.
+        cols = np.empty((self.n_obs, 5), dtype=int)
+        cols[:, 0] = self.kf_col
+        cols[:, 1] = self.kf_col + 1
+        cols[:, 2] = self.kf_col + 2
+        cols[:, 3] = self.mp_col
+        cols[:, 4] = self.mp_col + 1
+        self.fixed_mask = ~self.free_mask
+        self.any_fixed = bool(self.fixed_mask.any())
+        if self.any_fixed:
+            cols[self.fixed_mask, 0:3] = 0
+        nv = self.n_vars
+        self._jtr_index = cols.ravel()
+        self._jtj_index = (cols[:, :, None] * nv + cols[:, None, :]).ravel()
 
     def pack(self) -> np.ndarray:
-        x = np.empty(self.n_vars)
-        for kid, c in self.kf_index.items():
-            p = self.map.keyframes[kid].pose
-            x[c:c + 3] = (p.x, p.y, p.theta)
-        for mid, c in self.mp_index.items():
-            mp = self.map.map_points[mid]
-            x[c:c + 2] = (mp.x, mp.y)
-        return x
+        values: list[float] = []
+        keyframes, map_points = self.map.keyframes, self.map.map_points
+        for kid in self.free_kfs:
+            p = keyframes[kid].pose
+            values += (p.x, p.y, p.theta)
+        for mid in self.free_mps:
+            mp = map_points[mid]
+            values += (mp.x, mp.y)
+        return np.array(values, dtype=float)
 
     def unpack(self, x: np.ndarray) -> None:
-        for kid, c in self.kf_index.items():
-            kf = self.map.keyframes[kid]
-            kf.pose = Pose2(float(x[c]), float(x[c + 1]), wrap_angle(float(x[c + 2])))
-        for mid, c in self.mp_index.items():
-            mp = self.map.map_points[mid]
-            mp.x, mp.y = float(x[c]), float(x[c + 1])
+        values = x.tolist()
+        keyframes, map_points = self.map.keyframes, self.map.map_points
+        for i, kid in enumerate(self.free_kfs):
+            c = 3 * i
+            keyframes[kid].pose = Pose2(values[c], values[c + 1],
+                                        wrap_angle(values[c + 2]))
+        base = 3 * len(self.free_kfs)
+        for i, mid in enumerate(self.free_mps):
+            c = base + 2 * i
+            mp = map_points[mid]
+            mp.x, mp.y = values[c], values[c + 1]
 
     def _geometry(self, x: np.ndarray):
-        if self.free_mask.any():
-            safe = np.where(self.free_mask, self.kf_col, 0)
+        if self.any_free:
+            safe = self._safe_col
             kx = np.where(self.free_mask, x[safe], self.fixed_x)
             ky = np.where(self.free_mask, x[safe + 1], self.fixed_y)
             kt = np.where(self.free_mask, x[safe + 2], self.fixed_t)
@@ -148,27 +173,21 @@ class _Problem:
         blocks[:, 1, 3] = -dy * inv_q
         blocks[:, 1, 4] = dx * inv_q
 
-        cols = np.empty((n, 5), dtype=int)
-        cols[:, 0] = self.kf_col
-        cols[:, 1] = self.kf_col + 1
-        cols[:, 2] = self.kf_col + 2
-        cols[:, 3] = self.mp_col
-        cols[:, 4] = self.mp_col + 1
-        fixed = ~self.free_mask
-        if fixed.any():
-            blocks[fixed, :, 0:3] = 0.0
-            cols[fixed, 0:3] = 0  # zeroed contributions accumulate harmlessly
+        if self.any_fixed:
+            blocks[self.fixed_mask, :, 0:3] = 0.0
 
         jtj_blocks = np.einsum("nij,nik->njk", blocks, blocks)
         r2 = np.stack([res_r, res_b], axis=1)
         jtr_blocks = np.einsum("nij,ni->nj", blocks, r2)
 
-        jtj = np.zeros((self.n_vars, self.n_vars))
-        jtr = np.zeros(self.n_vars)
-        ci = np.broadcast_to(cols[:, :, None], (n, 5, 5))
-        cj = np.broadcast_to(cols[:, None, :], (n, 5, 5))
-        np.add.at(jtj, (ci, cj), jtj_blocks)
-        np.add.at(jtr, cols, jtr_blocks)
+        # bincount adds its weights in index order, one after another from
+        # zero, so each entry sums the same terms in the same order as a
+        # per-observation scatter-add would.
+        nv = self.n_vars
+        jtj = np.bincount(self._jtj_index, weights=jtj_blocks.ravel(),
+                          minlength=nv * nv).reshape(nv, nv)
+        jtr = np.bincount(self._jtr_index, weights=jtr_blocks.ravel(),
+                          minlength=nv)
         return jtj, jtr
 
 
@@ -275,40 +294,44 @@ def track_pose(kf_obs: list[tuple[float, float, float, float]], init: Pose2,
     ly = np.array([o[1] for o in kf_obs])
     obs_r = np.array([o[2] for o in kf_obs])
     obs_b = np.array([o[3] for o in kf_obs])
+    n_res = 2 * len(lx)
 
-    def residuals(px: float, py: float, pt: float) -> np.ndarray:
+    def residuals(px: float, py: float, pt: float):
+        """Residuals at a pose, with the landmark offsets they came from."""
         ddx, ddy = lx - px, ly - py
         r = np.hypot(ddx, ddy)
-        res = np.empty(2 * len(lx))
+        res = np.empty(n_res)
         res[0::2] = r - obs_r
         bearing = np.arctan2(ddy, ddx) - pt - obs_b
         res[1::2] = np.mod(bearing + np.pi, 2.0 * np.pi) - np.pi
-        return res
+        return res, ddx, ddy
+
+    # The Jacobian's theta column is constant; the others are refilled
+    # at every iterate.
+    jac = np.empty((n_res, 3))
+    jac[0::2, 2] = 0.0
+    jac[1::2, 2] = -1.0
 
     x, y, t = init.x, init.y, init.theta
     best = (x, y, t)
-    res = residuals(x, y, t)
+    res, ddx, ddy = residuals(x, y, t)
     cost = float(res @ res)
     best_cost = cost
     increases = 0
     for _ in range(max_iters):
-        ddx, ddy = lx - x, ly - y
         q = ddx * ddx + ddy * ddy
         r = np.sqrt(q)
-        jac = np.empty((2 * len(lx), 3))
         jac[0::2, 0] = -ddx / r
         jac[0::2, 1] = -ddy / r
-        jac[0::2, 2] = 0.0
         jac[1::2, 0] = ddy / q
         jac[1::2, 1] = -ddx / q
-        jac[1::2, 2] = -1.0
         jtj = jac.T @ jac
         try:
             delta = np.linalg.solve(jtj, -(jac.T @ res))
         except np.linalg.LinAlgError:
             return Pose2(*best).normalized(), True
         x, y, t = x + delta[0], y + delta[1], t + delta[2]
-        res = residuals(x, y, t)
+        res, ddx, ddy = residuals(x, y, t)
         new_cost = float(res @ res)
         if new_cost > cost:
             increases += 1

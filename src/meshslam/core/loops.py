@@ -36,10 +36,12 @@ def detect_loop_or_merge(maps: dict[MapId, Map], kf: KeyFrame,
                          tau: float = DEFAULT_TAU) -> LoopCandidate | None:
     """Best landmark-overlap candidate outside kf's covisible neighborhood.
 
-    Scans every keyframe of every map except those within two
+    Scores every keyframe of every map except those within two
     covisibility hops of kf; returns the highest-Jaccard keyframe at or
     above tau, ties going to the smaller keyframe id. Same-map hits are
-    loop closures, cross-map hits are merge candidates.
+    loop closures, cross-map hits are merge candidates. Only keyframes
+    that observe a map point of one of kf's landmarks can overlap, so
+    the others are passed over without building their signature.
     """
     own_map = maps[kf.map_id]
     sig = signature(own_map, kf)
@@ -50,15 +52,18 @@ def detect_loop_or_merge(maps: dict[MapId, Map], kf: KeyFrame,
     best: LoopCandidate | None = None
     for map_id in sorted(maps):
         m = maps[map_id]
+        shared = {mp_id for mp_id, mp in m.map_points.items()
+                  if mp.origin_landmark in sig}
+        if not shared:
+            continue
         for other_id in sorted(m.keyframes):
             if map_id == kf.map_id and other_id in excluded:
                 continue
-            other_sig = signature(m, m.keyframes[other_id])
-            if not other_sig:
+            other = m.keyframes[other_id]
+            if shared.isdisjoint(other.observations):
                 continue
+            other_sig = signature(m, other)
             inter = len(sig & other_sig)
-            if inter == 0:
-                continue
             jaccard = inter / len(sig | other_sig)
             if jaccard >= tau and (best is None or jaccard > best.similarity):
                 kind = (CandidateKind.LOOP if map_id == kf.map_id

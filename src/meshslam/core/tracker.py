@@ -33,17 +33,16 @@ def track_frame(m: Map, last_pose: Pose2, frame: Frame, window: int,
     minimum or the solver diverges.
     """
     recent = m.latest_keyframe_ids(window)
-    visible: dict[int, str] = {}
+    keyframes, map_points = m.keyframes, m.map_points
     candidate_ids: set[str] = set()
     for kid in recent:
-        candidate_ids |= set(m.keyframes[kid].observations)
-    for mp_id in sorted(candidate_ids):
-        mp = m.map_points.get(mp_id)
-        if mp is None:
-            continue
-        lm = mp.origin_landmark
-        if lm not in visible or mp_id < visible[lm]:
-            visible[lm] = mp_id
+        candidate_ids.update(keyframes[kid].observations)
+    # Each landmark maps to its smallest map point id: the pairs come in
+    # ascending id order, and of repeated keys dict() keeps the last.
+    map_points_get = map_points.get
+    visible = dict(reversed([
+        (mp.origin_landmark, mp_id) for mp_id in sorted(candidate_ids)
+        if (mp := map_points_get(mp_id)) is not None]))
 
     matches: dict[str, Observation] = {}
     for obs in frame.observations:
@@ -51,8 +50,8 @@ def track_frame(m: Map, last_pose: Pose2, frame: Frame, window: int,
         if mp_id is not None:
             matches[mp_id] = obs
 
-    ref_id = m.latest_keyframe_ids(1)[0]
-    ref_count = max(1, m.keyframes[ref_id].ref_point_count)
+    ref_id = recent[0] if recent else m.latest_keyframe_ids(1)[0]
+    ref_count = max(1, keyframes[ref_id].ref_point_count)
     ratio = min(1.0, len(matches) / ref_count)
 
     if len(matches) < min_matches:
@@ -61,7 +60,7 @@ def track_frame(m: Map, last_pose: Pose2, frame: Frame, window: int,
     guess = last_pose.compose(frame.odometry_delta)
     rows = []
     for mp_id in sorted(matches):
-        mp = m.map_points[mp_id]
+        mp = map_points[mp_id]
         o = matches[mp_id]
         rows.append((mp.x, mp.y, o.range, o.bearing))
     pose, diverged = track_pose(rows, guess)

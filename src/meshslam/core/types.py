@@ -35,7 +35,7 @@ class DegenerateConfiguration(SlamError):
     """Alignment requested on coincident source points."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Observation:
     """One range-bearing measurement of a ground-truth landmark."""
 
@@ -44,7 +44,7 @@ class Observation:
     bearing: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Frame:
     """Sensor input at one timestep: noisy odometry plus observations."""
 
@@ -54,7 +54,7 @@ class Frame:
     observations: tuple[Observation, ...]
 
 
-@dataclass
+@dataclass(slots=True)
 class MapPoint:
     id: str
     x: float
@@ -64,7 +64,7 @@ class MapPoint:
     dirty: bool = False
 
 
-@dataclass
+@dataclass(slots=True)
 class KeyFrame:
     id: KeyFrameId
     pose: Pose2
@@ -85,6 +85,9 @@ class Map:
 
     def latest_keyframe_ids(self, n: int) -> list[KeyFrameId]:
         """The n largest keyframe ids (creation recency order)."""
+        if n == 1 and self.keyframes:
+            return [max(self.keyframes)]
+        # Ids mostly arrive in ascending order, which sorts in linear time.
         return sorted(self.keyframes, reverse=True)[:n]
 
 

@@ -16,7 +16,7 @@ def wrap_angle(theta: float) -> float:
     return t
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Pose2:
     """SE(2) pose: position in meters, heading normalized to (-pi, pi]."""
 

@@ -8,7 +8,7 @@ and collision-free (the mixer is a bijection on 64-bit inputs).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 _MASK64 = (1 << 64) - 1
 
@@ -21,9 +21,15 @@ def splitmix64(z: int) -> int:
     return (z ^ (z >> 31)) & _MASK64
 
 
-@dataclass(frozen=True, order=True)
-class KeyFrameId:
-    """Totally ordered by (origin, seq); origin is the minting role's code."""
+class KeyFrameId(NamedTuple):
+    """Totally ordered by (origin, seq); origin is the minting role's code.
+
+    A plain tuple underneath, so hashing and ordering run in C. The hash
+    is ``hash((origin, seq))``; the iteration order of every set and dict
+    keyed by ids, and so the order of every sum over them, rests on it.
+    Being a tuple, a KeyFrameId equals a MapId with the same fields:
+    never mix the two as keys of one container.
+    """
 
     origin: int
     seq: int
@@ -32,8 +38,9 @@ class KeyFrameId:
         return f"kf:{self.origin}:{self.seq}"
 
 
-@dataclass(frozen=True, order=True)
-class MapId:
+class MapId(NamedTuple):
+    """Totally ordered by (origin, counter); a tuple like KeyFrameId."""
+
     origin: int
     counter: int
 

@@ -10,11 +10,12 @@ either applied immediately (local kind) or staged for atomic promotion
 from __future__ import annotations
 
 import enum
+import struct
 from dataclasses import dataclass
 
 from meshslam.codec import Reader, Writer
 from meshslam.geometry import Pose2
-from meshslam.ids import KeyFrameId, MapId, map_point_id_from_int, map_point_id_to_int
+from meshslam.ids import KeyFrameId, MapId, map_point_id_to_int
 
 
 class PayloadKind(enum.Enum):
@@ -39,7 +40,7 @@ class BatchKind(enum.Enum):
     MM = 3
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class WireObservation:
     mp_id: str
     landmark_id: int
@@ -47,7 +48,7 @@ class WireObservation:
     bearing: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class WireKeyFrame:
     kf_id: KeyFrameId
     pose: Pose2
@@ -55,7 +56,7 @@ class WireKeyFrame:
     observations: tuple[WireObservation, ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class WireMapPoint:
     mp_id: str
     x: float
@@ -64,7 +65,7 @@ class WireMapPoint:
     observers: tuple[KeyFrameId, ...] = ()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class NewKeyFramePayload:
     map_id: MapId
     is_map_origin: bool
@@ -73,14 +74,14 @@ class NewKeyFramePayload:
     new_points: tuple[WireMapPoint, ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class KeyFrameUpdate:
     kf_id: KeyFrameId
     pose: Pose2
     visible: tuple[str, ...] = ()  # empty means observation set unchanged
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MapBatch:
     kind: BatchKind
     map_id: MapId
@@ -94,97 +95,87 @@ class MapBatch:
     set_init_optimized: bool = False
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GlobalUpdateStart:
     epoch: int
     map_id: MapId
     kind: BatchKind
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DiscoveryPayload:
     session: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class HeartbeatPayload:
     pass
 
 
-def _put_kf_id(w: Writer, kid: KeyFrameId) -> None:
-    w.u8(kid.origin).u64(kid.seq)
+# Fixed runs of fields, each packed or unpacked with one call. A map or
+# keyframe id is (origin u8, counter u64), a pose three doubles and a map
+# point reference its id as a u64.
+_ID = struct.Struct("<BQ")
+_MP_REF = struct.Struct("<Q")
+_FUSED = struct.Struct("<QQ")
+# mp ref, landmark, range, bearing
+_OBSERVATION = struct.Struct("<QQdd")
+# mp ref, x, y, landmark, observer count
+_MP_HEAD = struct.Struct("<QddQI")
+# map id, is origin, map init optimized, kf id, pose, ref point count,
+# observation count
+_NEW_KF_HEAD = struct.Struct("<BQBBBQdddII")
+# kf id, pose, visible count
+_KF_UPDATE_HEAD = struct.Struct("<BQdddI")
+# batch kind, map id, epoch, seq, final, set init optimized, kf update count
+_BATCH_HEAD = struct.Struct("<BBQIIBBI")
+# epoch, map id, batch kind
+_GLOBAL_START = struct.Struct("<IBQB")
 
-
-def _get_kf_id(r: Reader) -> KeyFrameId:
-    return KeyFrameId(r.u8(), r.u64())
-
-
-def _put_map_id(w: Writer, mid: MapId) -> None:
-    w.u8(mid.origin).u64(mid.counter)
-
-
-def _get_map_id(r: Reader) -> MapId:
-    return MapId(r.u8(), r.u64())
-
-
-def _put_pose(w: Writer, p: Pose2) -> None:
-    w.f64(p.x).f64(p.y).f64(p.theta)
-
-
-def _get_pose(r: Reader) -> Pose2:
-    return Pose2(r.f64(), r.f64(), r.f64())
-
-
-def _put_mp_ref(w: Writer, mp_id: str) -> None:
-    w.u64(map_point_id_to_int(mp_id))
-
-
-def _get_mp_ref(r: Reader) -> str:
-    return map_point_id_from_int(r.u64())
+_mp_hex = "{:016x}".format  # map_point_id_from_int for values already u64
 
 
 def _put_wire_mp(w: Writer, mp: WireMapPoint) -> None:
-    _put_mp_ref(w, mp.mp_id)
-    w.f64(mp.x).f64(mp.y).u64(mp.landmark_id)
-    w.u32(len(mp.observers))
+    w.pack(_MP_HEAD, map_point_id_to_int(mp.mp_id), mp.x, mp.y,
+           mp.landmark_id, len(mp.observers))
     for kid in mp.observers:
-        _put_kf_id(w, kid)
+        w.pack(_ID, kid.origin, kid.seq)
 
 
-def _get_wire_mp(r: Reader) -> WireMapPoint:
-    mp_id = _get_mp_ref(r)
-    x, y = r.f64(), r.f64()
-    lm = r.u64()
-    observers = tuple(_get_kf_id(r) for _ in range(r.u32()))
-    return WireMapPoint(mp_id, x, y, lm, observers)
+def _get_wire_mps(r: Reader, n: int) -> tuple[WireMapPoint, ...]:
+    points = []
+    for _ in range(n):
+        mp_ref, x, y, lm, n_obs = r.unpack(_MP_HEAD)
+        observers = tuple(KeyFrameId(origin, seq) for origin, seq
+                          in r.unpack_many(_ID, n_obs)) if n_obs else ()
+        points.append(WireMapPoint(_mp_hex(mp_ref), x, y, lm, observers))
+    return tuple(points)
 
 
 def encode_payload(payload) -> bytes:
     w = Writer()
     if isinstance(payload, NewKeyFramePayload):
-        _put_map_id(w, payload.map_id)
-        w.u8(1 if payload.is_map_origin else 0)
-        w.u8(1 if payload.map_init_optimized else 0)
         kf = payload.keyframe
-        _put_kf_id(w, kf.kf_id)
-        _put_pose(w, kf.pose)
-        w.u32(kf.ref_point_count)
-        w.u32(len(kf.observations))
+        p = kf.pose
+        w.pack(_NEW_KF_HEAD, payload.map_id.origin, payload.map_id.counter,
+               1 if payload.is_map_origin else 0,
+               1 if payload.map_init_optimized else 0,
+               kf.kf_id.origin, kf.kf_id.seq, p.x, p.y, p.theta,
+               kf.ref_point_count, len(kf.observations))
         for o in kf.observations:
-            _put_mp_ref(w, o.mp_id)
-            w.u64(o.landmark_id).f64(o.range).f64(o.bearing)
+            w.pack(_OBSERVATION, map_point_id_to_int(o.mp_id), o.landmark_id,
+                   o.range, o.bearing)
         w.u32(len(payload.new_points))
         for mp in payload.new_points:
             _put_wire_mp(w, mp)
     elif isinstance(payload, KeyFrameUpdate):
         _encode_kf_update(w, payload)
     elif isinstance(payload, MapBatch):
-        w.u8(payload.kind.value)
-        _put_map_id(w, payload.map_id)
-        w.u32(payload.epoch).u32(payload.seq)
-        w.u8(1 if payload.final else 0)
-        w.u8(1 if payload.set_init_optimized else 0)
-        w.u32(len(payload.kf_updates))
+        w.pack(_BATCH_HEAD, payload.kind.value, payload.map_id.origin,
+               payload.map_id.counter, payload.epoch, payload.seq,
+               1 if payload.final else 0,
+               1 if payload.set_init_optimized else 0,
+               len(payload.kf_updates))
         for upd in payload.kf_updates:
             _encode_kf_update(w, upd)
         w.u32(len(payload.mp_updates))
@@ -192,17 +183,15 @@ def encode_payload(payload) -> bytes:
             _put_wire_mp(w, mp)
         w.u32(len(payload.fused))
         for dead, surv in payload.fused:
-            _put_mp_ref(w, dead)
-            _put_mp_ref(w, surv)
+            w.pack(_FUSED, map_point_id_to_int(dead), map_point_id_to_int(surv))
         if payload.absorbed_map is not None:
             w.u8(1)
-            _put_map_id(w, payload.absorbed_map)
+            w.pack(_ID, payload.absorbed_map.origin, payload.absorbed_map.counter)
         else:
             w.u8(0)
     elif isinstance(payload, GlobalUpdateStart):
-        w.u32(payload.epoch)
-        _put_map_id(w, payload.map_id)
-        w.u8(payload.kind.value)
+        w.pack(_GLOBAL_START, payload.epoch, payload.map_id.origin,
+               payload.map_id.counter, payload.kind.value)
     elif isinstance(payload, DiscoveryPayload):
         w.u64(payload.session)
     elif isinstance(payload, HeartbeatPayload):
@@ -213,54 +202,50 @@ def encode_payload(payload) -> bytes:
 
 
 def _encode_kf_update(w: Writer, upd: KeyFrameUpdate) -> None:
-    _put_kf_id(w, upd.kf_id)
-    _put_pose(w, upd.pose)
-    w.u32(len(upd.visible))
+    p = upd.pose
+    w.pack(_KF_UPDATE_HEAD, upd.kf_id.origin, upd.kf_id.seq, p.x, p.y,
+           p.theta, len(upd.visible))
     for mp_id in upd.visible:
-        _put_mp_ref(w, mp_id)
+        w.pack(_MP_REF, map_point_id_to_int(mp_id))
 
 
 def _decode_kf_update(r: Reader) -> KeyFrameUpdate:
-    kid = _get_kf_id(r)
-    pose = _get_pose(r)
-    visible = tuple(_get_mp_ref(r) for _ in range(r.u32()))
-    return KeyFrameUpdate(kid, pose, visible)
+    origin, seq, x, y, theta, n_visible = r.unpack(_KF_UPDATE_HEAD)
+    visible = tuple(_mp_hex(ref) for (ref,) in r.unpack_many(_MP_REF, n_visible))
+    return KeyFrameUpdate(KeyFrameId(origin, seq), Pose2(x, y, theta), visible)
 
 
 def decode_payload(kind: PayloadKind, data: bytes):
     r = Reader(data)
     if kind is PayloadKind.NEW_KEYFRAME:
-        map_id = _get_map_id(r)
-        is_origin = r.u8() != 0
-        init_opt = r.u8() != 0
-        kf_id = _get_kf_id(r)
-        pose = _get_pose(r)
-        ref_count = r.u32()
-        observations = []
-        for _ in range(r.u32()):
-            mp_id = _get_mp_ref(r)
-            observations.append(WireObservation(mp_id, r.u64(), r.f64(), r.f64()))
-        new_points = tuple(_get_wire_mp(r) for _ in range(r.u32()))
-        kf = WireKeyFrame(kf_id, pose, ref_count, tuple(observations))
-        return NewKeyFramePayload(map_id, is_origin, init_opt, kf, new_points)
+        (map_origin, map_counter, is_origin, init_opt, kf_origin, kf_seq,
+         x, y, theta, ref_count, n_obs) = r.unpack(_NEW_KF_HEAD)
+        observations = tuple(
+            WireObservation(_mp_hex(ref), lm, rng, brg)
+            for ref, lm, rng, brg in r.unpack_many(_OBSERVATION, n_obs))
+        new_points = _get_wire_mps(r, r.u32())
+        kf = WireKeyFrame(KeyFrameId(kf_origin, kf_seq), Pose2(x, y, theta),
+                          ref_count, observations)
+        return NewKeyFramePayload(MapId(map_origin, map_counter),
+                                  is_origin != 0, init_opt != 0, kf, new_points)
     if kind is PayloadKind.KEYFRAME_UPDATE:
         return _decode_kf_update(r)
     if kind is PayloadKind.MAP_BATCH:
-        bkind = BatchKind(r.u8())
-        map_id = _get_map_id(r)
-        epoch, seq = r.u32(), r.u32()
-        final = r.u8() != 0
-        set_init = r.u8() != 0
-        kf_updates = tuple(_decode_kf_update(r) for _ in range(r.u32()))
-        mp_updates = tuple(_get_wire_mp(r) for _ in range(r.u32()))
-        fused = tuple((_get_mp_ref(r), _get_mp_ref(r)) for _ in range(r.u32()))
-        absorbed = _get_map_id(r) if r.u8() != 0 else None
-        return MapBatch(bkind, map_id, epoch, seq, final, kf_updates,
-                        mp_updates, fused, absorbed, set_init)
+        (bkind, map_origin, map_counter, epoch, seq, final, set_init,
+         n_kf_updates) = r.unpack(_BATCH_HEAD)
+        bkind = BatchKind(bkind)
+        kf_updates = tuple(_decode_kf_update(r) for _ in range(n_kf_updates))
+        mp_updates = _get_wire_mps(r, r.u32())
+        fused = tuple((_mp_hex(dead), _mp_hex(surv))
+                      for dead, surv in r.unpack_many(_FUSED, r.u32()))
+        absorbed = MapId(*r.unpack(_ID)) if r.u8() != 0 else None
+        return MapBatch(bkind, MapId(map_origin, map_counter), epoch, seq,
+                        final != 0, kf_updates, mp_updates, fused, absorbed,
+                        set_init != 0)
     if kind is PayloadKind.GLOBAL_UPDATE_START:
-        epoch = r.u32()
-        map_id = _get_map_id(r)
-        return GlobalUpdateStart(epoch, map_id, BatchKind(r.u8()))
+        epoch, map_origin, map_counter, bkind = r.unpack(_GLOBAL_START)
+        return GlobalUpdateStart(epoch, MapId(map_origin, map_counter),
+                                 BatchKind(bkind))
     if kind is PayloadKind.DISCOVERY:
         return DiscoveryPayload(r.u64())
     if kind is PayloadKind.HEARTBEAT:

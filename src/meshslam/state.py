@@ -12,9 +12,9 @@ from __future__ import annotations
 
 import enum
 import hashlib
+import struct
 from dataclasses import dataclass, field
 
-from meshslam.codec import Writer
 from meshslam.core import covis
 from meshslam.core.types import KeyFrame, Map, MapPoint, Observation, SlamError
 from meshslam.ids import KeyFrameId, MapId, map_point_id_to_int
@@ -142,6 +142,8 @@ def observe_epoch(state: SystemState, epoch: int) -> None:
 
 def resolve_mp_id(state: SystemState, mp_id: str) -> str:
     """Chase fusion tombstones to the surviving map point id."""
+    if mp_id not in state.fused_forward:
+        return mp_id
     seen = []
     while mp_id in state.fused_forward:
         seen.append(mp_id)
@@ -555,56 +557,64 @@ def collect_dirty(state: SystemState, center: KeyFrameId, n_covisible: int,
     return batches
 
 
-def _fixed_decimal(w: Writer, value: float) -> None:
-    v = round(value, 9)
-    if v == 0.0:
-        v = 0.0  # normalize -0.0
-    w.raw(f"{v:+021.9f}".encode("ascii"))
+# Fixed runs of the canonical form, each packed with one call.
+_ID = struct.Struct("<BQ")  # keyframe or map id
+_MAP_HEAD = struct.Struct("<BQBQBI")  # map id, origin kf, init flag, n kfs
+_COUNTS = struct.Struct("<II")  # ref point count, observation count
+_OBS_HEAD = struct.Struct("<QQ")  # mp id, landmark
+_COVIS = struct.Struct("<BQI")  # other kf id, shared count
+_MP_ID = struct.Struct("<Q")
+_MP_TAIL = struct.Struct("<QI")  # landmark, observer count
+_U32 = struct.Struct("<I")
+# Floats print as fixed 21-character decimals at 9 places, after
+# round(v, 9) + 0.0: that is round(v, 9) bit for bit, except that -0.0
+# becomes +0.0 and so prints as +0.
+_DEC2 = b"%+021.9f" * 2
+_DEC3 = b"%+021.9f" * 3
 
 
 def canonical_bytes(state: SystemState) -> bytes:
     """Canonical serialization of the promoted tier for digesting."""
-    w = Writer()
-    w.u8(DIGEST_SCHEMA)
-    w.u32(len(state.slam))
+    return bytes(_canonical_buffer(state))
+
+
+def _canonical_buffer(state: SystemState) -> bytearray:
+    buf = bytearray()
+    buf += struct.pack("<BI", DIGEST_SCHEMA, len(state.slam))
     for map_id in sorted(state.slam):
         m = state.slam[map_id]
-        w.u8(map_id.origin).u64(map_id.counter)
-        w.u8(m.origin_kf.origin).u64(m.origin_kf.seq)
-        w.u8(1 if m.initialized_optimized else 0)
-        w.u32(len(m.keyframes))
+        buf += _MAP_HEAD.pack(map_id.origin, map_id.counter, m.origin_kf.origin,
+                              m.origin_kf.seq, 1 if m.initialized_optimized else 0,
+                              len(m.keyframes))
         for kf_id in sorted(m.keyframes):
             kf = m.keyframes[kf_id]
-            w.u8(kf_id.origin).u64(kf_id.seq)
-            _fixed_decimal(w, kf.pose.x)
-            _fixed_decimal(w, kf.pose.y)
-            _fixed_decimal(w, kf.pose.theta)
-            w.u32(kf.ref_point_count)
-            w.u32(len(kf.observations))
-            for mp_id in sorted(kf.observations):
-                o = kf.observations[mp_id]
-                w.u64(map_point_id_to_int(mp_id))
-                w.u64(o.landmark_id)
-                _fixed_decimal(w, o.range)
-                _fixed_decimal(w, o.bearing)
-            w.u32(len(kf.covisible))
-            for other in sorted(kf.covisible):
-                w.u8(other.origin).u64(other.seq)
-                w.u32(kf.covisible[other])
-        w.u32(len(m.map_points))
+            pose = kf.pose
+            buf += _ID.pack(kf_id.origin, kf_id.seq)
+            buf += _DEC3 % (round(pose.x, 9) + 0.0, round(pose.y, 9) + 0.0,
+                            round(pose.theta, 9) + 0.0)
+            buf += _COUNTS.pack(kf.ref_point_count, len(kf.observations))
+            observations = kf.observations
+            for mp_id in sorted(observations):
+                o = observations[mp_id]
+                buf += _OBS_HEAD.pack(map_point_id_to_int(mp_id), o.landmark_id)
+                buf += _DEC2 % (round(o.range, 9) + 0.0,
+                                round(o.bearing, 9) + 0.0)
+            covisible = kf.covisible
+            buf += _U32.pack(len(covisible))
+            for other in sorted(covisible):
+                buf += _COVIS.pack(other.origin, other.seq, covisible[other])
+        buf += _U32.pack(len(m.map_points))
         for mp_id in sorted(m.map_points):
             mp = m.map_points[mp_id]
-            w.u64(map_point_id_to_int(mp_id))
-            _fixed_decimal(w, mp.x)
-            _fixed_decimal(w, mp.y)
-            w.u64(mp.origin_landmark)
-            w.u32(len(mp.observers))
+            buf += _MP_ID.pack(map_point_id_to_int(mp_id))
+            buf += _DEC2 % (round(mp.x, 9) + 0.0, round(mp.y, 9) + 0.0)
+            buf += _MP_TAIL.pack(mp.origin_landmark, len(mp.observers))
             for kid in sorted(mp.observers):
-                w.u8(kid.origin).u64(kid.seq)
-    return w.getvalue()
+                buf += _ID.pack(kid.origin, kid.seq)
+    return buf
 
 
 def canonical_digest(state: SystemState) -> StateDigest:
     """128-bit mixing-hash digest of the canonical promoted-state bytes."""
-    h = hashlib.blake2b(canonical_bytes(state), digest_size=16)
+    h = hashlib.blake2b(_canonical_buffer(state), digest_size=16)
     return StateDigest(h.hexdigest())

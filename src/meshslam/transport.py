@@ -13,7 +13,16 @@ from typing import Callable, Protocol
 
 from meshslam.policy import Role
 from meshslam.simnet import Simulator
-from meshslam.wire import Envelope, Topic, decode, encode
+from meshslam.wire import (
+    FOOTER_LEN,
+    HEADER_LEN,
+    MAX_PAYLOAD,
+    Envelope,
+    Topic,
+    WireError,
+    decode,
+    encode,
+)
 
 
 class Transport(Protocol):
@@ -107,6 +116,12 @@ class SimClock:
 
 
 FRAME_HEADER = struct.Struct(">I")  # socket framing: 4-byte big-endian length
+# The largest envelope wire.encode produces: header, payload, checksum.
+MAX_FRAME_LEN = HEADER_LEN + MAX_PAYLOAD + FOOTER_LEN
+
+
+class FrameTooLarge(WireError):
+    """A socket frame declared a length no envelope can have."""
 
 
 def write_frame(sock: socket.socket, data: bytes) -> None:
@@ -114,21 +129,30 @@ def write_frame(sock: socket.socket, data: bytes) -> None:
 
 
 def read_frame(sock: socket.socket) -> bytes | None:
+    """One length-prefixed frame, or None when the peer closes first.
+
+    A declared length above MAX_FRAME_LEN raises FrameTooLarge before
+    any of the body is read; the stream cannot be resynchronized then.
+    """
     head = _read_exact(sock, FRAME_HEADER.size)
     if head is None:
         return None
     (length,) = FRAME_HEADER.unpack(head)
+    if length > MAX_FRAME_LEN:
+        raise FrameTooLarge(f"frame declares {length} bytes > {MAX_FRAME_LEN}")
     return _read_exact(sock, length)
 
 
 def _read_exact(sock: socket.socket, n: int) -> bytes | None:
-    buf = b""
-    while len(buf) < n:
-        chunk = sock.recv(n - len(buf))
-        if not chunk:
-            return None
-        buf += chunk
-    return buf
+    buf = bytearray(n)
+    with memoryview(buf) as view:
+        got = 0
+        while got < n:
+            k = sock.recv_into(view[got:])
+            if k == 0:
+                return None
+            got += k
+    return bytes(buf)
 
 
 class SocketTransport:
@@ -170,7 +194,7 @@ class SocketTransport:
                 data = read_frame(conn)
             except socket.timeout:
                 continue
-            except OSError:
+            except (OSError, FrameTooLarge):
                 return
             if data is None:
                 return

@@ -12,6 +12,7 @@ from meshslam.core import (
     map_cost,
     track_frame,
 )
+from meshslam.core.bundle import _Problem
 from meshslam.core.types import SingularSystem, TrackStatus
 from meshslam.geometry import Pose2, wrap_angle
 from meshslam.ids import IdAllocator
@@ -226,3 +227,91 @@ def test_monotone_cost_under_adjustment(alloc):
         before_g = map_cost(m)
         global_bundle_adjust(m)
         assert map_cost(m) <= before_g + 1e-12
+
+
+def _reference_normal_equations(p, x):
+    """Scatter-add assembly, one observation block after another."""
+    dx, dy, q, r, kt = p._geometry(x)
+    res_r = r - p.obs_range
+    bearing = np.arctan2(dy, dx) - kt - p.obs_bearing
+    res_b = np.mod(bearing + np.pi, 2.0 * np.pi) - np.pi
+    n = p.n_obs
+    blocks = np.zeros((n, 2, 5))
+    blocks[:, 0, 0] = -dx * (1.0 / r)
+    blocks[:, 0, 1] = -dy * (1.0 / r)
+    blocks[:, 0, 3] = dx * (1.0 / r)
+    blocks[:, 0, 4] = dy * (1.0 / r)
+    blocks[:, 1, 0] = dy * (1.0 / q)
+    blocks[:, 1, 1] = -dx * (1.0 / q)
+    blocks[:, 1, 2] = -1.0
+    blocks[:, 1, 3] = -dy * (1.0 / q)
+    blocks[:, 1, 4] = dx * (1.0 / q)
+    cols = np.stack([p.kf_col, p.kf_col + 1, p.kf_col + 2,
+                     p.mp_col, p.mp_col + 1], axis=1)
+    fixed = ~p.free_mask
+    blocks[fixed, :, 0:3] = 0.0
+    cols[fixed, 0:3] = 0
+    jtj_blocks = np.einsum("nij,nik->njk", blocks, blocks)
+    jtr_blocks = np.einsum("nij,ni->nj", blocks,
+                           np.stack([res_r, res_b], axis=1))
+    jtj = np.zeros((p.n_vars, p.n_vars))
+    jtr = np.zeros(p.n_vars)
+    ci = np.broadcast_to(cols[:, :, None], (n, 5, 5))
+    cj = np.broadcast_to(cols[:, None, :], (n, 5, 5))
+    np.add.at(jtj, (ci, cj), jtj_blocks)
+    np.add.at(jtr, cols, jtr_blocks)
+    return jtj, jtr
+
+
+def _reference_rows(m, kf_index, free_mps):
+    """(kf column, observer pose, range, bearing) per residual pair, in
+    (map point, observer) order, built one observation at a time."""
+    rows = []
+    for mid in free_mps:
+        for kid in sorted(m.map_points[mid].observers):
+            kf = m.keyframes.get(kid)
+            if kf is None or mid not in kf.observations:
+                continue
+            o = kf.observations[mid]
+            col = kf_index.get(kid, -1)
+            pose = (kf.pose.x, kf.pose.y, kf.pose.theta) if col < 0 else (0.0,) * 3
+            rows.append((col, *pose, o.range, o.bearing))
+    return rows
+
+
+@pytest.mark.parametrize("seed", [5, 19])
+def test_problem_assembly_is_bitwise_the_scatter_add_reference(seed):
+    alloc = IdAllocator(1)
+    landmarks = grid_landmarks(40, spacing=0.9)
+    rng = np.random.default_rng(seed)
+    m, _ = build_chain(6, landmarks, alloc, rng=rng, sigma_r=0.02, sigma_b=0.01)
+    kfs = sorted(m.keyframes)
+    # The oldest two keyframes stay fixed, so fixed anchors are in play.
+    free_kfs = kfs[2:]
+    free_mps = sorted(m.map_points)
+    p = _Problem(m, free_kfs, free_mps)
+    assert p.free_mask.any() and not p.free_mask.all()
+
+    ref = _reference_rows(m, p.kf_index, free_mps)
+    got = list(zip(p.kf_col.tolist(), p.fixed_x.tolist(), p.fixed_y.tolist(),
+                   p.fixed_t.tolist(), p.obs_range.tolist(),
+                   p.obs_bearing.tolist()))
+    assert got == ref
+
+    x = p.pack()
+    x = x + rng.normal(0.0, 0.01, x.shape)
+    jtj, jtr = p.normal_equations(x)
+    ref_jtj, ref_jtr = _reference_normal_equations(p, x)
+    assert jtj.tobytes() == ref_jtj.tobytes()
+    assert jtr.tobytes() == ref_jtr.tobytes()
+    assert jtj.flags.c_contiguous and jtj.shape == ref_jtj.shape
+
+    p.unpack(x)
+    for i, kid in enumerate(free_kfs):
+        pose = m.keyframes[kid].pose
+        assert (pose.x, pose.y) == (x[3 * i], x[3 * i + 1])
+        assert pose.theta == wrap_angle(float(x[3 * i + 2]))
+    base = 3 * len(free_kfs)
+    for i, mid in enumerate(free_mps):
+        mp = m.map_points[mid]
+        assert (mp.x, mp.y) == (x[base + 2 * i], x[base + 2 * i + 1])

@@ -1,8 +1,13 @@
+from collections import deque
+
+import pytest
 from hypothesis import given, strategies as st
 
+from meshslam.config import TopologySpec
 from meshslam.ids import (
     IdAllocator,
     KeyFrameId,
+    MapId,
     mint_map_point_id,
     map_point_id_from_int,
     map_point_id_to_int,
@@ -41,6 +46,75 @@ def test_serialized_id_roundtrips(value):
 def test_splitmix_injective_on_samples(a, b):
     if a != b:
         assert splitmix64(a) != splitmix64(b)
+
+
+@pytest.mark.parametrize("cls, tag", [(KeyFrameId, "kf"), (MapId, "map")])
+def test_ids_order_by_origin_then_counter_and_print(cls, tag):
+    ids = [cls(2, 0), cls(1, 5), cls(1, 12), cls(2, 1)]
+    assert sorted(ids) == [cls(1, 5), cls(1, 12), cls(2, 0), cls(2, 1)]
+    assert max(ids) == cls(2, 1) and cls(1, 12) > cls(1, 5)
+    assert str(cls(3, 12)) == f"{tag}:3:12"
+
+
+@given(st.integers(0, 255), st.integers(0, 2**64 - 1))
+def test_id_hash_is_the_hash_of_its_field_tuple(origin, counter):
+    # Set and dict iteration order, and so the order of every sum over
+    # ids, depends on this hash.
+    kid, mid = KeyFrameId(origin, counter), MapId(origin, counter)
+    assert hash(kid) == hash((kid.origin, kid.seq))
+    assert hash(mid) == hash((mid.origin, mid.counter))
+
+
+def _id_kinds_per_container(root):
+    """For every dict and set reachable from root through meshslam
+    objects and builtin containers: the id types among its keys."""
+    found = []
+    seen = set()
+    stack = [root]
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen or isinstance(obj, (KeyFrameId, MapId, str, bytes)):
+            continue
+        seen.add(id(obj))
+        if isinstance(obj, dict):
+            keys = list(obj)
+            stack += keys + list(obj.values())
+        elif isinstance(obj, (set, frozenset)):
+            keys = list(obj)
+            stack += keys
+        elif isinstance(obj, (list, tuple, deque)):
+            stack += list(obj)
+            continue
+        elif type(obj).__module__.startswith("meshslam"):
+            slots = [n for c in type(obj).__mro__
+                     for n in getattr(c, "__slots__", ())]
+            attrs = [getattr(obj, n) for n in slots if hasattr(obj, n)]
+            stack += attrs + list(getattr(obj, "__dict__", {}).values())
+            continue
+        else:
+            continue
+        kinds = {type(k) for k in keys} & {KeyFrameId, MapId}
+        if kinds:
+            found.append(kinds)
+    return found
+
+
+def test_no_container_mixes_keyframe_and_map_ids():
+    # Ids are tuples, so KeyFrameId(1, 0) == MapId(1, 0): a container
+    # holding both kinds could conflate them. Walk every container of a
+    # 3-node run that merges maps and closes a loop.
+    from meshslam.policy import Role
+    from meshslam.runner import run_distributed
+    from meshslam.scenarios import TrajectoryKind, default_scenario
+
+    spec = default_scenario(TrajectoryKind.TWO_SEGMENT, seed=1)
+    result = run_distributed(
+        spec, TopologySpec(roles=[Role.TRACKING, Role.MAPPING, Role.LOOP]))
+    assert any(d["kind"] == "mm" for _, _, name, d in result.events
+               if name == "global_update")
+    kinds = _id_kinds_per_container(result.nodes)
+    assert {KeyFrameId} in kinds and {MapId} in kinds
+    assert all(len(k) == 1 for k in kinds)
 
 
 def test_keyframe_id_total_order():

@@ -1,4 +1,6 @@
+import hashlib
 import random
+import struct
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -260,6 +262,79 @@ def test_digest_detects_small_pose_change():
     kf.pose = Pose2(kf.pose.x + 1e-3, kf.pose.y, kf.pose.theta)
     assert canonical_bytes(a) != canonical_bytes(b)
     assert canonical_digest(a) != canonical_digest(b)
+
+
+def _reference_canonical_bytes(state):
+    """The canonical form written one field at a time."""
+    out = bytearray()
+
+    def u(fmt, v):
+        out.extend(struct.pack(fmt, v))
+
+    def dec(value):
+        v = round(value, 9)
+        if v == 0.0:
+            v = 0.0
+        out.extend(f"{v:+021.9f}".encode("ascii"))
+
+    def kid(k):
+        u("<B", k.origin)
+        u("<Q", k[1])
+
+    u("<B", 1)
+    u("<I", len(state.slam))
+    for map_id in sorted(state.slam):
+        m = state.slam[map_id]
+        kid(map_id)
+        kid(m.origin_kf)
+        u("<B", 1 if m.initialized_optimized else 0)
+        u("<I", len(m.keyframes))
+        for k in sorted(m.keyframes):
+            kf = m.keyframes[k]
+            kid(k)
+            for v in (kf.pose.x, kf.pose.y, kf.pose.theta):
+                dec(v)
+            u("<I", kf.ref_point_count)
+            u("<I", len(kf.observations))
+            for mp_id in sorted(kf.observations):
+                o = kf.observations[mp_id]
+                u("<Q", int(mp_id, 16))
+                u("<Q", o.landmark_id)
+                dec(o.range)
+                dec(o.bearing)
+            u("<I", len(kf.covisible))
+            for other in sorted(kf.covisible):
+                kid(other)
+                u("<I", kf.covisible[other])
+        u("<I", len(m.map_points))
+        for mp_id in sorted(m.map_points):
+            p = m.map_points[mp_id]
+            u("<Q", int(mp_id, 16))
+            dec(p.x)
+            dec(p.y)
+            u("<Q", p.origin_landmark)
+            u("<I", len(p.observers))
+            for k in sorted(p.observers):
+                kid(k)
+    return bytes(out)
+
+
+@settings(max_examples=50)
+@given(st.lists(st.floats(-1e6, 1e6), min_size=3, max_size=3),
+       st.sampled_from([0.0, -0.0, -4e-10, 4e-10, -5e-10, 1e15, -123.4567890125]))
+def test_canonical_bytes_match_the_field_by_field_form(pose, edge):
+    state = seeded_state(5)
+    m = state.slam[MAP]
+    m.keyframes[KeyFrameId(1, 2)].pose = Pose2(*pose)
+    m.keyframes[KeyFrameId(1, 3)].pose = Pose2(edge, -edge, edge)
+    m.map_points[mp(0)].x = edge
+    for a, b in ((1, 2), (2, 4)):
+        ka, kb = KeyFrameId(1, a), KeyFrameId(1, b)
+        m.keyframes[ka].covisible[kb] = 7
+        m.keyframes[kb].covisible[ka] = 7
+    assert canonical_bytes(state) == _reference_canonical_bytes(state)
+    assert canonical_digest(state).value == hashlib.blake2b(
+        _reference_canonical_bytes(state), digest_size=16).hexdigest()
 
 
 def test_superset_accounting_reconciles():

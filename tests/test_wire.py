@@ -3,6 +3,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from meshslam.codec import TruncatedInput
 from meshslam.geometry import Pose2
 from meshslam.ids import KeyFrameId, MapId, mint_map_point_id
 from meshslam.messages import (
@@ -92,6 +93,18 @@ def test_roundtrip_every_payload_kind():
         assert back == env
         assert decode_payload(back.kind, back.payload) == payload
         assert encode(back) == data  # encode(decode(b)) == b
+
+
+def test_every_proper_prefix_of_a_payload_is_truncated():
+    # Fixed runs of fields are read with one call each: a cut inside a
+    # run must still surface as TruncatedInput, which the node drops, and
+    # never as struct.error.
+    for env, _ in sample_envelopes():
+        data = env.payload
+        assert data
+        for cut in range(len(data)):
+            with pytest.raises(TruncatedInput):
+                decode_payload(env.kind, data[:cut])
 
 
 def test_encoder_refuses_other_versions():
