@@ -13,6 +13,9 @@ from meshslam.ids import (
     map_point_id_to_int,
     splitmix64,
 )
+from meshslam.policy import Role
+from meshslam.runner import run_distributed
+from meshslam.scenarios import TrajectoryKind, default_scenario
 
 
 def test_mint_is_deterministic():
@@ -102,11 +105,7 @@ def _id_kinds_per_container(root):
 def test_no_container_mixes_keyframe_and_map_ids():
     # Ids are tuples, so KeyFrameId(1, 0) == MapId(1, 0): a container
     # holding both kinds could conflate them. Walk every container of a
-    # 3-node run that merges maps and closes a loop.
-    from meshslam.policy import Role
-    from meshslam.runner import run_distributed
-    from meshslam.scenarios import TrajectoryKind, default_scenario
-
+    # 3-node run that merges maps.
     spec = default_scenario(TrajectoryKind.TWO_SEGMENT, seed=1)
     result = run_distributed(
         spec, TopologySpec(roles=[Role.TRACKING, Role.MAPPING, Role.LOOP]))

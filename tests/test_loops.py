@@ -98,24 +98,33 @@ def test_detector_matches_brute_force_argmax(alloc):
     for kf_id in sorted(m.keyframes):
         kf = m.keyframes[kf_id]
         cand = detect_loop_or_merge({m.map_id: m}, kf, tau=0.05)
-        # brute force over every keyframe outside the 2-hop neighborhood
-        excluded = covis.covisible_within_hops(m, kf_id, 2)
-        sig = signature(m, kf)
-        best = None
-        for other_id in sorted(m.keyframes):
-            if other_id in excluded:
-                continue
-            other_sig = signature(m, m.keyframes[other_id])
-            if not sig or not other_sig:
-                continue
-            j = len(sig & other_sig) / len(sig | other_sig)
-            if j >= 0.05 and (best is None or j > best[1]):
-                best = (other_id, j)
+        best = brute_force_best({m.map_id: m}, kf, tau=0.05)
         if best is None:
             assert cand is None
         else:
             assert cand is not None
             assert (cand.other_id, cand.similarity) == best
+
+
+def brute_force_best(maps, kf, tau):
+    """(keyframe id, Jaccard) of the best candidate, from the signature
+    of every keyframe outside kf's 2-hop neighborhood."""
+    own = maps[kf.map_id]
+    excluded = covis.covisible_within_hops(own, kf.id, 2)
+    sig = signature(own, kf)
+    best = None
+    for map_id in sorted(maps):
+        m = maps[map_id]
+        for other_id in sorted(m.keyframes):
+            if map_id == kf.map_id and other_id in excluded:
+                continue
+            other_sig = signature(m, m.keyframes[other_id])
+            if not sig or not other_sig:
+                continue
+            j = len(sig & other_sig) / len(sig | other_sig)
+            if j >= tau and (best is None or j > best[1]):
+                best = (other_id, j)
+    return best
 
 
 def square_loop_map(alloc, side=10, sigma_r=0.015, sigma_b=0.008, seed=2):
@@ -248,6 +257,22 @@ def test_merge_maps_unifies_corridor(alloc):
         for a in mps:
             for b in mps:
                 assert math.hypot(a.x - b.x, a.y - b.y) < 0.05
+
+
+@pytest.mark.parametrize("tau", [0.05, 0.4])
+def test_detector_matches_brute_force_across_maps(alloc, tau):
+    m1, m2 = two_corridor_maps(alloc)
+    maps = {m1.map_id: m1, m2.map_id: m2}
+    hits = 0
+    for m in (m1, m2):
+        for kf_id in sorted(m.keyframes):
+            kf = m.keyframes[kf_id]
+            cand = detect_loop_or_merge(maps, kf, tau=tau)
+            best = brute_force_best(maps, kf, tau)
+            assert (None if cand is None
+                    else (cand.other_id, cand.similarity)) == best
+            hits += cand is not None
+    assert hits > 0
 
 
 def test_merge_rejects_thin_overlap(alloc):
