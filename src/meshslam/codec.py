@@ -1,4 +1,4 @@
-"""Canonical binary primitives of the message payloads.
+"""Canonical binary primitives shared by the wire payloads and digests.
 
 Little-endian fixed-width integers and IEEE-754 doubles; composite
 fields are count-prefixed by their encoders. Every field and every

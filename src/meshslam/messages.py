@@ -13,7 +13,7 @@ import enum
 import struct
 from dataclasses import dataclass
 
-from meshslam.codec import Reader, Writer
+from meshslam.codec import U64, Reader, Writer
 from meshslam.geometry import Pose2
 from meshslam.ids import KeyFrameId, MapId, map_point_id_to_int
 
@@ -116,7 +116,6 @@ class HeartbeatPayload:
 # keyframe id is (origin u8, counter u64), a pose three doubles and a map
 # point reference its id as a u64.
 _ID = struct.Struct("<BQ")
-_MP_REF = struct.Struct("<Q")
 _FUSED = struct.Struct("<QQ")
 # mp ref, landmark, range, bearing
 _OBSERVATION = struct.Struct("<QQdd")
@@ -206,12 +205,12 @@ def _encode_kf_update(w: Writer, upd: KeyFrameUpdate) -> None:
     w.pack(_KF_UPDATE_HEAD, upd.kf_id.origin, upd.kf_id.seq, p.x, p.y,
            p.theta, len(upd.visible))
     for mp_id in upd.visible:
-        w.pack(_MP_REF, map_point_id_to_int(mp_id))
+        w.pack(U64, map_point_id_to_int(mp_id))
 
 
 def _decode_kf_update(r: Reader) -> KeyFrameUpdate:
     origin, seq, x, y, theta, n_visible = r.unpack(_KF_UPDATE_HEAD)
-    visible = tuple(_mp_hex(ref) for (ref,) in r.unpack_many(_MP_REF, n_visible))
+    visible = tuple(_mp_hex(ref) for (ref,) in r.unpack_many(U64, n_visible))
     return KeyFrameUpdate(KeyFrameId(origin, seq), Pose2(x, y, theta), visible)
 
 

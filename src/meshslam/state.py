@@ -15,6 +15,7 @@ import hashlib
 import struct
 from dataclasses import dataclass, field
 
+from meshslam.codec import U32, U64
 from meshslam.core import covis
 from meshslam.core.types import KeyFrame, Map, MapPoint, Observation, SlamError
 from meshslam.ids import KeyFrameId, MapId, map_point_id_to_int
@@ -563,9 +564,7 @@ _MAP_HEAD = struct.Struct("<BQBQBI")  # map id, origin kf, init flag, n kfs
 _COUNTS = struct.Struct("<II")  # ref point count, observation count
 _OBS_HEAD = struct.Struct("<QQ")  # mp id, landmark
 _COVIS = struct.Struct("<BQI")  # other kf id, shared count
-_MP_ID = struct.Struct("<Q")
 _MP_TAIL = struct.Struct("<QI")  # landmark, observer count
-_U32 = struct.Struct("<I")
 # Floats print as fixed 21-character decimals at 9 places, after
 # round(v, 9) + 0.0: that is round(v, 9) bit for bit, except that -0.0
 # becomes +0.0 and so prints as +0.
@@ -600,13 +599,13 @@ def _canonical_buffer(state: SystemState) -> bytearray:
                 buf += _DEC2 % (round(o.range, 9) + 0.0,
                                 round(o.bearing, 9) + 0.0)
             covisible = kf.covisible
-            buf += _U32.pack(len(covisible))
+            buf += U32.pack(len(covisible))
             for other in sorted(covisible):
                 buf += _COVIS.pack(other.origin, other.seq, covisible[other])
-        buf += _U32.pack(len(m.map_points))
+        buf += U32.pack(len(m.map_points))
         for mp_id in sorted(m.map_points):
             mp = m.map_points[mp_id]
-            buf += _MP_ID.pack(map_point_id_to_int(mp_id))
+            buf += U64.pack(map_point_id_to_int(mp_id))
             buf += _DEC2 % (round(mp.x, 9) + 0.0, round(mp.y, 9) + 0.0)
             buf += _MP_TAIL.pack(mp.origin_landmark, len(mp.observers))
             for kid in sorted(mp.observers):
