@@ -16,6 +16,7 @@ import struct
 U8 = struct.Struct("<B")
 U32 = struct.Struct("<I")
 U64 = struct.Struct("<Q")
+ID = struct.Struct("<BQ")  # keyframe or map id: origin u8, counter u64
 
 
 class TruncatedInput(Exception):

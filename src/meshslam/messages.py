@@ -13,9 +13,14 @@ import enum
 import struct
 from dataclasses import dataclass
 
-from meshslam.codec import U64, Reader, Writer
+from meshslam.codec import ID, U64, Reader, Writer
 from meshslam.geometry import Pose2
-from meshslam.ids import KeyFrameId, MapId, map_point_id_to_int
+from meshslam.ids import (
+    KeyFrameId,
+    MapId,
+    map_point_id_from_int,
+    map_point_id_to_int,
+)
 
 
 class PayloadKind(enum.Enum):
@@ -115,7 +120,6 @@ class HeartbeatPayload:
 # Fixed runs of fields, each packed or unpacked with one call. A map or
 # keyframe id is (origin u8, counter u64), a pose three doubles and a map
 # point reference its id as a u64.
-_ID = struct.Struct("<BQ")
 _FUSED = struct.Struct("<QQ")
 # mp ref, landmark, range, bearing
 _OBSERVATION = struct.Struct("<QQdd")
@@ -131,14 +135,12 @@ _BATCH_HEAD = struct.Struct("<BBQIIBBI")
 # epoch, map id, batch kind
 _GLOBAL_START = struct.Struct("<IBQB")
 
-_mp_hex = "{:016x}".format  # map_point_id_from_int for values already u64
-
 
 def _put_wire_mp(w: Writer, mp: WireMapPoint) -> None:
     w.pack(_MP_HEAD, map_point_id_to_int(mp.mp_id), mp.x, mp.y,
            mp.landmark_id, len(mp.observers))
     for kid in mp.observers:
-        w.pack(_ID, kid.origin, kid.seq)
+        w.pack(ID, kid.origin, kid.seq)
 
 
 def _get_wire_mps(r: Reader, n: int) -> tuple[WireMapPoint, ...]:
@@ -146,8 +148,9 @@ def _get_wire_mps(r: Reader, n: int) -> tuple[WireMapPoint, ...]:
     for _ in range(n):
         mp_ref, x, y, lm, n_obs = r.unpack(_MP_HEAD)
         observers = tuple(KeyFrameId(origin, seq) for origin, seq
-                          in r.unpack_many(_ID, n_obs)) if n_obs else ()
-        points.append(WireMapPoint(_mp_hex(mp_ref), x, y, lm, observers))
+                          in r.unpack_many(ID, n_obs)) if n_obs else ()
+        points.append(WireMapPoint(map_point_id_from_int(mp_ref), x, y, lm,
+                                   observers))
     return tuple(points)
 
 
@@ -185,7 +188,7 @@ def encode_payload(payload) -> bytes:
             w.pack(_FUSED, map_point_id_to_int(dead), map_point_id_to_int(surv))
         if payload.absorbed_map is not None:
             w.u8(1)
-            w.pack(_ID, payload.absorbed_map.origin, payload.absorbed_map.counter)
+            w.pack(ID, payload.absorbed_map.origin, payload.absorbed_map.counter)
         else:
             w.u8(0)
     elif isinstance(payload, GlobalUpdateStart):
@@ -210,7 +213,8 @@ def _encode_kf_update(w: Writer, upd: KeyFrameUpdate) -> None:
 
 def _decode_kf_update(r: Reader) -> KeyFrameUpdate:
     origin, seq, x, y, theta, n_visible = r.unpack(_KF_UPDATE_HEAD)
-    visible = tuple(_mp_hex(ref) for (ref,) in r.unpack_many(U64, n_visible))
+    visible = tuple(map_point_id_from_int(ref)
+                    for (ref,) in r.unpack_many(U64, n_visible))
     return KeyFrameUpdate(KeyFrameId(origin, seq), Pose2(x, y, theta), visible)
 
 
@@ -220,7 +224,7 @@ def decode_payload(kind: PayloadKind, data: bytes):
         (map_origin, map_counter, is_origin, init_opt, kf_origin, kf_seq,
          x, y, theta, ref_count, n_obs) = r.unpack(_NEW_KF_HEAD)
         observations = tuple(
-            WireObservation(_mp_hex(ref), lm, rng, brg)
+            WireObservation(map_point_id_from_int(ref), lm, rng, brg)
             for ref, lm, rng, brg in r.unpack_many(_OBSERVATION, n_obs))
         new_points = _get_wire_mps(r, r.u32())
         kf = WireKeyFrame(KeyFrameId(kf_origin, kf_seq), Pose2(x, y, theta),
@@ -235,9 +239,10 @@ def decode_payload(kind: PayloadKind, data: bytes):
         bkind = BatchKind(bkind)
         kf_updates = tuple(_decode_kf_update(r) for _ in range(n_kf_updates))
         mp_updates = _get_wire_mps(r, r.u32())
-        fused = tuple((_mp_hex(dead), _mp_hex(surv))
-                      for dead, surv in r.unpack_many(_FUSED, r.u32()))
-        absorbed = MapId(*r.unpack(_ID)) if r.u8() != 0 else None
+        fused = tuple(
+            (map_point_id_from_int(dead), map_point_id_from_int(surv))
+            for dead, surv in r.unpack_many(_FUSED, r.u32()))
+        absorbed = MapId(*r.unpack(ID)) if r.u8() != 0 else None
         return MapBatch(bkind, MapId(map_origin, map_counter), epoch, seq,
                         final != 0, kf_updates, mp_updates, fused, absorbed,
                         set_init != 0)

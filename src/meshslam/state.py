@@ -15,7 +15,7 @@ import hashlib
 import struct
 from dataclasses import dataclass, field
 
-from meshslam.codec import U32, U64
+from meshslam.codec import ID, U32, U64
 from meshslam.core import covis
 from meshslam.core.types import KeyFrame, Map, MapPoint, Observation, SlamError
 from meshslam.ids import KeyFrameId, MapId, map_point_id_to_int
@@ -143,8 +143,6 @@ def observe_epoch(state: SystemState, epoch: int) -> None:
 
 def resolve_mp_id(state: SystemState, mp_id: str) -> str:
     """Chase fusion tombstones to the surviving map point id."""
-    if mp_id not in state.fused_forward:
-        return mp_id
     seen = []
     while mp_id in state.fused_forward:
         seen.append(mp_id)
@@ -559,7 +557,6 @@ def collect_dirty(state: SystemState, center: KeyFrameId, n_covisible: int,
 
 
 # Fixed runs of the canonical form, each packed with one call.
-_ID = struct.Struct("<BQ")  # keyframe or map id
 _MAP_HEAD = struct.Struct("<BQBQBI")  # map id, origin kf, init flag, n kfs
 _COUNTS = struct.Struct("<II")  # ref point count, observation count
 _OBS_HEAD = struct.Struct("<QQ")  # mp id, landmark
@@ -588,7 +585,7 @@ def _canonical_buffer(state: SystemState) -> bytearray:
         for kf_id in sorted(m.keyframes):
             kf = m.keyframes[kf_id]
             pose = kf.pose
-            buf += _ID.pack(kf_id.origin, kf_id.seq)
+            buf += ID.pack(kf_id.origin, kf_id.seq)
             buf += _DEC3 % (round(pose.x, 9) + 0.0, round(pose.y, 9) + 0.0,
                             round(pose.theta, 9) + 0.0)
             buf += _COUNTS.pack(kf.ref_point_count, len(kf.observations))
@@ -609,7 +606,7 @@ def _canonical_buffer(state: SystemState) -> bytearray:
             buf += _DEC2 % (round(mp.x, 9) + 0.0, round(mp.y, 9) + 0.0)
             buf += _MP_TAIL.pack(mp.origin_landmark, len(mp.observers))
             for kid in sorted(mp.observers):
-                buf += _ID.pack(kid.origin, kid.seq)
+                buf += ID.pack(kid.origin, kid.seq)
     return buf
 
 
