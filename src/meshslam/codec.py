@@ -6,7 +6,9 @@ fixed run of fields has one precompiled ``struct.Struct``: the writer
 packs a run into its buffer with one call, and the reader unpacks a run
 at its offset with one call, without slicing. The reader bounds-checks
 every access before unpacking, so arbitrary input can never over-read or
-crash a decoder: running past the end raises ``TruncatedInput``.
+crash a decoder: running past the end raises ``TruncatedInput``, and a
+decoder that stops short of the end raises ``TrailingInput``, so each
+value has exactly one encoding.
 """
 
 from __future__ import annotations
@@ -21,6 +23,10 @@ ID = struct.Struct("<BQ")  # keyframe or map id: origin u8, counter u64
 
 class TruncatedInput(Exception):
     """Reader ran past the end of the buffer."""
+
+
+class TrailingInput(ValueError):
+    """Bytes remained after a complete value was read."""
 
 
 class Writer:

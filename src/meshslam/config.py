@@ -2,8 +2,9 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, replace
 from pathlib import Path
+from typing import get_type_hints
 
 from meshslam.policy import Role
 
@@ -84,19 +85,12 @@ def _coerce(value: str, kind: type):
 
 def node_config_from_entries(entries: dict[str, str],
                              base: NodeConfig | None = None) -> NodeConfig:
-    cfg = base or NodeConfig()
-    known = {f.name: f.type for f in fields(NodeConfig)}
-    kinds = {"t_lmfreq_ms": float, "local_batch_min": int, "local_batch_max": int,
-             "local_batch_spacing_ms": float, "global_batch_size": int,
-             "global_batch_spacing_ms": float, "heartbeat_ms": float,
-             "heartbeat_misses": int, "kf_min_gap_frames": int,
-             "kf_ref_ratio": float, "loop_tau": float, "track_window": int,
-             "lba_covisible": int, "min_track_matches": int, "loop_enabled": bool}
-    updates = {}
-    for key, value in entries.items():
-        if key in known:
-            updates[key] = _coerce(value, kinds[key])
-    return replace(cfg, **updates)
+    """base with every NodeConfig field named in entries replaced by its
+    value coerced to the field's declared type; other keys are ignored."""
+    field_types = get_type_hints(NodeConfig)
+    updates = {key: _coerce(value, field_types[key])
+               for key, value in entries.items() if key in field_types}
+    return replace(base or NodeConfig(), **updates)
 
 
 def load_topology(path: str | Path) -> TopologySpec:

@@ -232,15 +232,6 @@ def _solve(problem: _Problem, max_iters: int) -> None:
     problem.unpack(x)
 
 
-def _mark_dirty(m: Map, kf_ids: list[KeyFrameId], mp_ids: list[str]
-                ) -> tuple[set[KeyFrameId], set[str]]:
-    for kid in kf_ids:
-        m.keyframes[kid].dirty = True
-    for mid in mp_ids:
-        m.map_points[mid].dirty = True
-    return set(kf_ids), set(mp_ids)
-
-
 def local_bundle_adjust(m: Map, center: KeyFrameId, n_covisible: int
                         ) -> tuple[set[KeyFrameId], set[str]]:
     """Optimize the window around center; returns the dirtied entity ids.
@@ -263,15 +254,15 @@ def local_bundle_adjust(m: Map, center: KeyFrameId, n_covisible: int
 
     problem = _Problem(m, free_kfs, free_mps)
     _solve(problem, LBA_MAX_ITERS)
-    return _mark_dirty(m, window, free_mps)
+    return set(window), set(free_mps)
 
 
 def global_bundle_adjust(m: Map) -> tuple[set[KeyFrameId], set[str]]:
     """Optimize all poses and points of a map with its origin fixed.
 
-    Marks the map as having had its initial keyframes optimized; the
-    touched entities are flagged dirty even when already at the optimum
-    so that the flag flip still replicates.
+    Marks the map as having had its initial keyframes optimized; every
+    keyframe and point id is returned as dirtied even when already at the
+    optimum, so that the flag flip still replicates.
     """
     all_kfs = sorted(m.keyframes)
     free_kfs = [k for k in all_kfs if k != m.origin_kf]
@@ -279,7 +270,7 @@ def global_bundle_adjust(m: Map) -> tuple[set[KeyFrameId], set[str]]:
     problem = _Problem(m, free_kfs, free_mps)
     _solve(problem, GBA_MAX_ITERS)
     m.initialized_optimized = True
-    return _mark_dirty(m, all_kfs, free_mps)
+    return set(all_kfs), set(free_mps)
 
 
 def track_pose(kf_obs: list[tuple[float, float, float, float]], init: Pose2,

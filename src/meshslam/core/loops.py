@@ -9,6 +9,7 @@ from meshslam.core.types import (
     CandidateKind,
     GlobalUpdateRecord,
     InsufficientOverlap,
+    InvalidCandidate,
     KeyFrame,
     LoopCandidate,
     Map,
@@ -79,21 +80,43 @@ def _age_key(mp: MapPoint) -> tuple[KeyFrameId, str]:
 def _fuse_pair(m: Map, a_id: str, b_id: str) -> tuple[str, str]:
     """Fuse two duplicate map points; the older one survives.
 
-    Returns (dead_id, survivor_id). A keyframe observing both keeps the
-    survivor's observation.
+    Returns (dead_id, survivor_id).
     """
     a, b = m.map_points[a_id], m.map_points[b_id]
     dead, surv = (b, a) if _age_key(a) <= _age_key(b) else (a, b)
+    fuse_map_points(m, dead.id, surv.id)
+    return dead.id, surv.id
+
+
+def fuse_map_points(m: Map, dead_id: str, surv_id: str) -> None:
+    """Replace map point dead_id by surv_id in every observing keyframe.
+
+    A keyframe observing both keeps the survivor's observation. A no-op
+    unless both points are in the map and distinct.
+    """
+    dead = m.map_points.get(dead_id)
+    surv = m.map_points.get(surv_id)
+    if dead is None or surv is None or dead_id == surv_id:
+        return
     for kf_id in sorted(dead.observers):
         kf = m.keyframes.get(kf_id)
         if kf is None:
             continue
-        obs = kf.observations.pop(dead.id, None)
-        if obs is not None and surv.id not in kf.observations:
-            kf.observations[surv.id] = obs
+        obs = kf.observations.pop(dead_id, None)
+        if obs is not None and surv_id not in kf.observations:
+            kf.observations[surv_id] = obs
         surv.observers.add(kf_id)
-    del m.map_points[dead.id]
-    return dead.id, surv.id
+    del m.map_points[dead_id]
+
+
+def absorb_map(surv: Map, lost: Map) -> None:
+    """Re-home every keyframe and map point of lost under surv, as is."""
+    for kf_id in sorted(lost.keyframes):
+        kf = lost.keyframes[kf_id]
+        kf.map_id = surv.map_id
+        surv.keyframes[kf_id] = kf
+    for mp_id in sorted(lost.map_points):
+        surv.map_points[mp_id] = lost.map_points[mp_id]
 
 
 def _landmark_reps(m: Map, kf: KeyFrame | None = None) -> dict[int, str]:
@@ -116,8 +139,12 @@ def _landmark_reps(m: Map, kf: KeyFrame | None = None) -> dict[int, str]:
 
 def close_loop(m: Map, cand: LoopCandidate) -> GlobalUpdateRecord:
     """Fuse duplicate landmarks between the two matched keyframes and run
-    a global adjustment; the fusion itself is the loop constraint."""
-    assert cand.kind is CandidateKind.LOOP
+    a global adjustment; the fusion itself is the loop constraint.
+
+    Raises InvalidCandidate for a merge candidate.
+    """
+    if cand.kind is not CandidateKind.LOOP:
+        raise InvalidCandidate(f"close_loop given a {cand.kind.value} candidate")
     kf = m.keyframes[cand.kf_id]
     other = m.keyframes[cand.other_id]
     reps_a = _landmark_reps(m, kf)
@@ -142,25 +169,20 @@ def merge_maps(maps: dict[MapId, Map], cand: LoopCandidate
     """Align, re-home, and fuse two maps; the smaller one is absorbed.
 
     Alignment pairs come from landmarks common to both maps (rigid, no
-    scale). Raises InsufficientOverlap below 3 matched pairs.
+    scale). The map with more keyframes survives, ties going to the
+    smaller map id. Raises InsufficientOverlap below 3 matched pairs, and
+    InvalidCandidate unless cand is a merge candidate whose keyframe lies
+    in another of the maps.
     """
-    assert cand.kind is CandidateKind.MERGE
+    if cand.kind is not CandidateKind.MERGE:
+        raise InvalidCandidate(f"merge_maps given a {cand.kind.value} candidate")
     m_a = maps[cand.other_map]  # the matched older map
-    kf = None
-    for m in maps.values():
-        if cand.kf_id in m.keyframes:
-            kf = m.keyframes[cand.kf_id]
-            break
-    assert kf is not None and kf.map_id != cand.other_map
-    m_b = maps[kf.map_id]
-
-    if len(m_a.keyframes) >= len(m_b.keyframes):
-        surv_map, lost_map = m_a, m_b
-    elif len(m_b.keyframes) > len(m_a.keyframes):
-        surv_map, lost_map = m_b, m_a
-    if len(m_a.keyframes) == len(m_b.keyframes):
-        surv_map, lost_map = ((m_a, m_b) if m_a.map_id < m_b.map_id
-                              else (m_b, m_a))
+    m_b = next((m for m in maps.values() if cand.kf_id in m.keyframes), None)
+    if m_b is None or m_b is m_a:
+        raise InvalidCandidate(f"keyframe {cand.kf_id} is in no map other "
+                               f"than {cand.other_map}")
+    surv_map, lost_map = sorted((m_a, m_b),
+                                key=lambda m: (-len(m.keyframes), m.map_id))
 
     reps_lost = _landmark_reps(lost_map)
     reps_surv = _landmark_reps(surv_map)
@@ -176,19 +198,16 @@ def merge_maps(maps: dict[MapId, Map], cand: LoopCandidate
     transform = compute_alignment(pairs, with_scale=False)
     _, d_theta, _, _ = transform
 
-    # Re-home the losing map's content into the survivor's frame.
-    for kf_id in sorted(lost_map.keyframes):
-        moved = lost_map.keyframes[kf_id]
+    # Move the losing map's content into the survivor's frame, then
+    # re-home it there.
+    for moved in lost_map.keyframes.values():
         nx, ny = apply_alignment(transform, moved.pose.x, moved.pose.y)
         moved.pose = Pose2(nx, ny, wrap_angle(moved.pose.theta + d_theta))
-        moved.map_id = surv_map.map_id
-        surv_map.keyframes[kf_id] = moved
-    for mp_id in sorted(lost_map.map_points):
-        mp = lost_map.map_points[mp_id]
+    for mp in lost_map.map_points.values():
         mp.x, mp.y = apply_alignment(transform, mp.x, mp.y)
-        surv_map.map_points[mp_id] = mp
     absorbed_id = lost_map.map_id
     del maps[absorbed_id]
+    absorb_map(surv_map, lost_map)
 
     fused: dict[str, str] = {}
     for lm in common:

@@ -31,6 +31,10 @@ class InsufficientOverlap(SlamError):
     """Map merge attempted with fewer matched landmark pairs than required."""
 
 
+class InvalidCandidate(SlamError):
+    """A loop or merge candidate that does not fit the operation or maps."""
+
+
 class DegenerateConfiguration(SlamError):
     """Alignment requested on coincident source points."""
 
@@ -61,7 +65,6 @@ class MapPoint:
     y: float
     origin_landmark: int
     observers: set[KeyFrameId] = field(default_factory=set)
-    dirty: bool = False
 
 
 @dataclass(slots=True)
@@ -72,7 +75,6 @@ class KeyFrame:
     map_id: MapId
     ref_point_count: int = 0
     covisible: dict[KeyFrameId, int] = field(default_factory=dict)
-    dirty: bool = False
 
 
 @dataclass

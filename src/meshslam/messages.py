@@ -1,10 +1,11 @@
 """Typed message payloads and their canonical binary forms.
 
 New keyframes carry the complete object definition including the map
-points they introduce; keyframe updates carry only changed parts (pose,
-visible point ids). Map batches bundle keyframe and map point updates,
-either applied immediately (local kind) or staged for atomic promotion
-(global kinds).
+points they introduce. Map batches bundle keyframe updates (pose only)
+and map point updates (position only), either applied immediately
+(local kind) or staged for atomic promotion (global kinds). Observer
+sets never travel: every replica derives them from keyframe
+observations.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import enum
 import struct
 from dataclasses import dataclass
 
-from meshslam.codec import ID, U64, Reader, Writer
+from meshslam.codec import ID, Reader, TrailingInput, Writer
 from meshslam.geometry import Pose2
 from meshslam.ids import (
     KeyFrameId,
@@ -25,7 +26,6 @@ from meshslam.ids import (
 
 class PayloadKind(enum.Enum):
     NEW_KEYFRAME = 1
-    KEYFRAME_UPDATE = 2
     MAP_BATCH = 3
     GLOBAL_UPDATE_START = 4
     DISCOVERY = 5
@@ -67,7 +67,6 @@ class WireMapPoint:
     x: float
     y: float
     landmark_id: int
-    observers: tuple[KeyFrameId, ...] = ()
 
 
 @dataclass(frozen=True, slots=True)
@@ -83,7 +82,6 @@ class NewKeyFramePayload:
 class KeyFrameUpdate:
     kf_id: KeyFrameId
     pose: Pose2
-    visible: tuple[str, ...] = ()  # empty means observation set unchanged
 
 
 @dataclass(frozen=True, slots=True)
@@ -123,35 +121,29 @@ class HeartbeatPayload:
 _FUSED = struct.Struct("<QQ")
 # mp ref, landmark, range, bearing
 _OBSERVATION = struct.Struct("<QQdd")
-# mp ref, x, y, landmark, observer count
-_MP_HEAD = struct.Struct("<QddQI")
+# mp ref, x, y, landmark
+_MAP_POINT = struct.Struct("<QddQ")
 # map id, is origin, map init optimized, kf id, pose, ref point count,
 # observation count
 _NEW_KF_HEAD = struct.Struct("<BQBBBQdddII")
-# kf id, pose, visible count
-_KF_UPDATE_HEAD = struct.Struct("<BQdddI")
+# kf id, pose
+_KF_UPDATE = struct.Struct("<BQddd")
 # batch kind, map id, epoch, seq, final, set init optimized, kf update count
 _BATCH_HEAD = struct.Struct("<BBQIIBBI")
 # epoch, map id, batch kind
 _GLOBAL_START = struct.Struct("<IBQB")
 
 
-def _put_wire_mp(w: Writer, mp: WireMapPoint) -> None:
-    w.pack(_MP_HEAD, map_point_id_to_int(mp.mp_id), mp.x, mp.y,
-           mp.landmark_id, len(mp.observers))
-    for kid in mp.observers:
-        w.pack(ID, kid.origin, kid.seq)
+def _put_wire_mps(w: Writer, points: tuple[WireMapPoint, ...]) -> None:
+    w.u32(len(points))
+    for mp in points:
+        w.pack(_MAP_POINT, map_point_id_to_int(mp.mp_id), mp.x, mp.y,
+               mp.landmark_id)
 
 
-def _get_wire_mps(r: Reader, n: int) -> tuple[WireMapPoint, ...]:
-    points = []
-    for _ in range(n):
-        mp_ref, x, y, lm, n_obs = r.unpack(_MP_HEAD)
-        observers = tuple(KeyFrameId(origin, seq) for origin, seq
-                          in r.unpack_many(ID, n_obs)) if n_obs else ()
-        points.append(WireMapPoint(map_point_id_from_int(mp_ref), x, y, lm,
-                                   observers))
-    return tuple(points)
+def _get_wire_mps(r: Reader) -> tuple[WireMapPoint, ...]:
+    return tuple(WireMapPoint(map_point_id_from_int(mp_ref), x, y, lm)
+                 for mp_ref, x, y, lm in r.unpack_many(_MAP_POINT, r.u32()))
 
 
 def encode_payload(payload) -> bytes:
@@ -167,11 +159,7 @@ def encode_payload(payload) -> bytes:
         for o in kf.observations:
             w.pack(_OBSERVATION, map_point_id_to_int(o.mp_id), o.landmark_id,
                    o.range, o.bearing)
-        w.u32(len(payload.new_points))
-        for mp in payload.new_points:
-            _put_wire_mp(w, mp)
-    elif isinstance(payload, KeyFrameUpdate):
-        _encode_kf_update(w, payload)
+        _put_wire_mps(w, payload.new_points)
     elif isinstance(payload, MapBatch):
         w.pack(_BATCH_HEAD, payload.kind.value, payload.map_id.origin,
                payload.map_id.counter, payload.epoch, payload.seq,
@@ -179,10 +167,10 @@ def encode_payload(payload) -> bytes:
                1 if payload.set_init_optimized else 0,
                len(payload.kf_updates))
         for upd in payload.kf_updates:
-            _encode_kf_update(w, upd)
-        w.u32(len(payload.mp_updates))
-        for mp in payload.mp_updates:
-            _put_wire_mp(w, mp)
+            p = upd.pose
+            w.pack(_KF_UPDATE, upd.kf_id.origin, upd.kf_id.seq, p.x, p.y,
+                   p.theta)
+        _put_wire_mps(w, payload.mp_updates)
         w.u32(len(payload.fused))
         for dead, surv in payload.fused:
             w.pack(_FUSED, map_point_id_to_int(dead), map_point_id_to_int(surv))
@@ -203,42 +191,37 @@ def encode_payload(payload) -> bytes:
     return w.getvalue()
 
 
-def _encode_kf_update(w: Writer, upd: KeyFrameUpdate) -> None:
-    p = upd.pose
-    w.pack(_KF_UPDATE_HEAD, upd.kf_id.origin, upd.kf_id.seq, p.x, p.y,
-           p.theta, len(upd.visible))
-    for mp_id in upd.visible:
-        w.pack(U64, map_point_id_to_int(mp_id))
-
-
-def _decode_kf_update(r: Reader) -> KeyFrameUpdate:
-    origin, seq, x, y, theta, n_visible = r.unpack(_KF_UPDATE_HEAD)
-    visible = tuple(map_point_id_from_int(ref)
-                    for (ref,) in r.unpack_many(U64, n_visible))
-    return KeyFrameUpdate(KeyFrameId(origin, seq), Pose2(x, y, theta), visible)
-
-
 def decode_payload(kind: PayloadKind, data: bytes):
+    """The payload encoded in data; raises TruncatedInput if data ends
+    early and TrailingInput if bytes follow the payload."""
     r = Reader(data)
+    payload = _decode(kind, r)
+    if not r.at_end():
+        raise TrailingInput(f"{r.remaining()} bytes after a {kind.name} payload")
+    return payload
+
+
+def _decode(kind: PayloadKind, r: Reader):
     if kind is PayloadKind.NEW_KEYFRAME:
         (map_origin, map_counter, is_origin, init_opt, kf_origin, kf_seq,
          x, y, theta, ref_count, n_obs) = r.unpack(_NEW_KF_HEAD)
         observations = tuple(
             WireObservation(map_point_id_from_int(ref), lm, rng, brg)
             for ref, lm, rng, brg in r.unpack_many(_OBSERVATION, n_obs))
-        new_points = _get_wire_mps(r, r.u32())
+        new_points = _get_wire_mps(r)
         kf = WireKeyFrame(KeyFrameId(kf_origin, kf_seq), Pose2(x, y, theta),
                           ref_count, observations)
         return NewKeyFramePayload(MapId(map_origin, map_counter),
                                   is_origin != 0, init_opt != 0, kf, new_points)
-    if kind is PayloadKind.KEYFRAME_UPDATE:
-        return _decode_kf_update(r)
     if kind is PayloadKind.MAP_BATCH:
         (bkind, map_origin, map_counter, epoch, seq, final, set_init,
          n_kf_updates) = r.unpack(_BATCH_HEAD)
         bkind = BatchKind(bkind)
-        kf_updates = tuple(_decode_kf_update(r) for _ in range(n_kf_updates))
-        mp_updates = _get_wire_mps(r, r.u32())
+        kf_updates = tuple(
+            KeyFrameUpdate(KeyFrameId(kf_origin, kf_seq), Pose2(x, y, theta))
+            for kf_origin, kf_seq, x, y, theta
+            in r.unpack_many(_KF_UPDATE, n_kf_updates))
+        mp_updates = _get_wire_mps(r)
         fused = tuple(
             (map_point_id_from_int(dead), map_point_id_from_int(surv))
             for dead, surv in r.unpack_many(_FUSED, r.u32()))

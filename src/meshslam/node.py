@@ -42,8 +42,6 @@ from meshslam.messages import (
     DiscoveryPayload,
     GlobalUpdateStart,
     HeartbeatPayload,
-    KeyFrameUpdate,
-    MapBatch,
     NewKeyFramePayload,
     PayloadKind,
     Target,
@@ -141,8 +139,7 @@ class SlamNode:
         duties = set()
         if self.role is Role.TRACKING:
             duties.add("tracking")
-        if self.role is Role.MAPPING or (
-                self.role is Role.TRACKING and self.decision.lm_route is Route.LOCAL):
+        if self._holds_mapping_duty():
             duties.add("mapping")
         if self.role is Role.MAPPING:
             duties.add("relay")
@@ -568,8 +565,9 @@ class SlamNode:
             except InsufficientOverlap as exc:
                 self.record("merge_rejected", reason=str(exc))
                 return
-            self._reindex_after_merge(record)
             state_mod.note_merge(self.state, record.absorbed_map, record.map_id)
+            if self.active_map_id == record.absorbed_map:
+                self.active_map_id = record.map_id
         state_mod.note_fusions(self.state, record.fused)
         self._touch()
         self.metrics.global_updates += 1
@@ -577,15 +575,6 @@ class SlamNode:
                     keyframes=len(record.kf_ids), fused=len(record.fused))
         self._emit_global_update(record)
         self._after_global_state_change()
-
-    def _reindex_after_merge(self, record: GlobalUpdateRecord) -> None:
-        surviving = self.state.slam.get(record.map_id)
-        if surviving is None:
-            return
-        for kf_id in surviving.keyframes:
-            self.state.kf_map_index[kf_id] = record.map_id
-        if self.active_map_id == record.absorbed_map:
-            self.active_map_id = record.map_id
 
     def _emit_global_update(self, record: GlobalUpdateRecord) -> None:
         epoch = self.state.pause_epoch + 1
@@ -604,40 +593,18 @@ class SlamNode:
         m = self.state.slam.get(record.map_id)
         if m is None:
             return
-        batch_kind = {"gba": BatchKind.GBA, "lc": BatchKind.LC,
-                      "mm": BatchKind.MM}[record.kind.value]
+        batch_kind = BatchKind[record.kind.name]
         start = GlobalUpdateStart(epoch, record.map_id, batch_kind)
         self._publish(Topic.MAP_GLOBAL, PayloadKind.GLOBAL_UPDATE_START, start,
                       targets)
 
         kf_ids = [k for k in record.kf_ids if k in m.keyframes]
         mp_ids = [p for p in record.mp_ids if p in m.map_points]
-        size = max(1, self.config.global_batch_size)
-        n_batches = max(1, (len(kf_ids) + size - 1) // size)
-        per_mp = (len(mp_ids) + n_batches - 1) // n_batches if mp_ids else 0
-        batches = []
-        for i in range(n_batches):
-            chunk = kf_ids[i * size:(i + 1) * size]
-            kf_updates = tuple(
-                KeyFrameUpdate(kid, m.keyframes[kid].pose,
-                               tuple(sorted(m.keyframes[kid].observations)))
-                for kid in chunk
-            )
-            mp_chunk = mp_ids[i * per_mp:(i + 1) * per_mp] if per_mp else []
-            mp_updates = tuple(
-                WireMapPoint(mid, m.map_points[mid].x, m.map_points[mid].y,
-                             m.map_points[mid].origin_landmark,
-                             tuple(sorted(m.map_points[mid].observers)))
-                for mid in mp_chunk
-            )
-            batches.append(MapBatch(
-                batch_kind, record.map_id, epoch, i,
-                final=(i == n_batches - 1),
-                kf_updates=kf_updates, mp_updates=mp_updates,
-                fused=tuple(sorted(record.fused.items())) if i == 0 else (),
-                absorbed_map=record.absorbed_map if i == 0 else None,
-                set_init_optimized=(i == 0),
-            ))
+        batches = state_mod.split_batches(
+            m, batch_kind, epoch, 0, kf_ids, mp_ids,
+            [max(1, self.config.global_batch_size)], final=True,
+            fused=tuple(sorted(record.fused.items())),
+            absorbed_map=record.absorbed_map, set_init_optimized=True)
         self._publish_spaced(Topic.MAP_GLOBAL, PayloadKind.MAP_BATCH, batches,
                              targets, self.config.global_batch_spacing_ms)
 
@@ -672,7 +639,7 @@ class SlamNode:
         if expected is not None and env.seq != expected:
             self.metrics.seq_gaps += 1
         self._expected_seq[key] = env.seq + 1
-        if env.kind in (PayloadKind.NEW_KEYFRAME, PayloadKind.KEYFRAME_UPDATE):
+        if env.kind is PayloadKind.NEW_KEYFRAME:
             self.kf_queue.append(env)
         else:
             self.map_queue.append(env)
@@ -709,12 +676,6 @@ class SlamNode:
         except (TruncatedInput, ValueError, TypeError):
             self.metrics.decode_errors += 1
             self.record("decode_error", topic=env.topic.label)
-            return
-        if env.kind is PayloadKind.KEYFRAME_UPDATE:
-            key = state_mod.update_key(env.pause_epoch, state_mod.PHASE_LOCAL,
-                                       env.seq)
-            state_mod.apply_keyframe_update(self.state, payload, key)
-            self._touch()
             return
         outcome = state_mod.apply_new_keyframe(self.state, payload)
         if outcome is not PromotionOutcome.DUPLICATE:

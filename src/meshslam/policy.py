@@ -50,9 +50,6 @@ class DistributionDecision:
     lm_route: Route
     lc_route: Route
 
-    def all_local(self) -> bool:
-        return self.lm_route is Route.LOCAL and self.lc_route is Route.LOCAL
-
 
 def decide(own: Role, peers: frozenset[Role] | set[Role]) -> DistributionDecision:
     """Route mapping and loop work for this node given discovered peers.

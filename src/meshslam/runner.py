@@ -5,6 +5,7 @@ from __future__ import annotations
 import io
 import random
 from dataclasses import dataclass, field
+from pathlib import Path
 
 from meshslam.config import NodeConfig, TopologySpec, node_config_from_entries
 from meshslam.evaluate import NoAssociation, TrajectoryRecord, evaluate_ate
@@ -191,8 +192,6 @@ def run_distributed(spec: ScenarioSpec, topology: TopologySpec,
 def load_fault_schedule(path: str) -> list[FaultEvent]:
     """One event per line: `<at_ms> <kind> <args>`; '#' comments allowed."""
     out: list[FaultEvent] = []
-    from pathlib import Path
-
     for raw in Path(path).read_text().splitlines():
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -204,11 +203,7 @@ def load_fault_schedule(path: str) -> list[FaultEvent]:
         if kind in ("crash", "recover"):
             out.append(FaultEvent(at, kind,
                                   roles=tuple(Role.from_name(a) for a in args)))
-        elif kind == "partition":
-            links = tuple((Role.from_name(args[i]), Role.from_name(args[i + 1]))
-                          for i in range(0, len(args), 2))
-            out.append(FaultEvent(at, kind, links=links))
-        elif kind == "heal":
+        elif kind in ("partition", "heal"):
             links = tuple((Role.from_name(args[i]), Role.from_name(args[i + 1]))
                           for i in range(0, len(args), 2))
             out.append(FaultEvent(at, kind, links=links))

@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 
 from meshslam.codec import ID, U32, U64
 from meshslam.core import covis
+from meshslam.core.loops import absorb_map, fuse_map_points
 from meshslam.core.types import KeyFrame, Map, MapPoint, Observation, SlamError
 from meshslam.ids import KeyFrameId, MapId, map_point_id_to_int
 from meshslam.messages import (
@@ -32,6 +33,10 @@ DIGEST_SCHEMA = 1
 
 class EpochMismatch(SlamError):
     """A global batch arrived for an epoch older than the current one."""
+
+
+class DanglingReference(SlamError):
+    """Promoting a keyframe would leave it observing a missing map point."""
 
 
 class PromotionOutcome(enum.Enum):
@@ -104,10 +109,6 @@ class SystemState:
             return None
         return m.keyframes.get(kf_id)
 
-    def find_map_of(self, kf_id: KeyFrameId) -> Map | None:
-        map_id = self.kf_map_index.get(kf_id)
-        return self.slam.get(map_id) if map_id is not None else None
-
     def register_map(self, m: Map) -> None:
         """Adopt a locally constructed map into the promoted tier."""
         self.slam[m.map_id] = m
@@ -166,8 +167,14 @@ def resolve_map_id(state: SystemState, map_id: MapId) -> MapId:
 
 def note_merge(state: SystemState, absorbed: MapId | None,
                surviving: MapId) -> None:
+    """Book a merge whose entities already moved: the survivor's keyframes
+    are indexed under it and the absorbed id forwards to it."""
     if absorbed is not None and absorbed != surviving:
         state.absorbed_forward[absorbed] = surviving
+        m = state.slam.get(surviving)
+        if m is not None:
+            for kf_id in m.keyframes:
+                state.kf_map_index[kf_id] = surviving
         # Anything buffered under the dead map retries under the survivor.
         buffered = state.staged_kfs.pop(absorbed, None)
         if buffered:
@@ -208,12 +215,17 @@ def _insert_keyframe(state: SystemState, m: Map, payload: NewKeyFramePayload) ->
     kf = KeyFrame(kf_wire.kf_id, kf_wire.pose, observations, m.map_id,
                   ref_point_count=kf_wire.ref_point_count)
     # Staging soundness: promotion must never leave dangling references.
-    assert all(mp_id in m.map_points for mp_id in observations)
+    missing = [mp_id for mp_id in observations if mp_id not in m.map_points]
+    if missing:
+        raise DanglingReference(
+            f"keyframe {kf.id} observes {len(missing)} missing map points")
     m.keyframes[kf.id] = kf
     state.kf_map_index[kf.id] = m.map_id
     for mp_id in observations:
         m.map_points[mp_id].observers.add(kf.id)
     covis.link_new_keyframe(m, kf.id)
+    if payload.map_init_optimized:
+        m.initialized_optimized = True
 
     # Replay any updates that were waiting on this keyframe or its points.
     waiting = state.staged_kf_updates.pop(kf.id, None)
@@ -257,8 +269,6 @@ def apply_new_keyframe(state: SystemState, payload: NewKeyFramePayload
         return PromotionOutcome.STAGED
 
     _insert_keyframe(state, m, payload)
-    if payload.map_init_optimized:
-        m.initialized_optimized = True
     _drain_staged_keyframes(state, map_id)
     return PromotionOutcome.PROMOTED
 
@@ -283,8 +293,6 @@ def _drain_staged_keyframes(state: SystemState, map_id: MapId) -> None:
             if _payload_resolves(state, m, payload):
                 del buffered[kf_id]
                 _insert_keyframe(state, m, payload)
-                if payload.map_init_optimized:
-                    m.initialized_optimized = True
                 progress = True
         if not buffered:
             del state.staged_kfs[map_id]
@@ -325,8 +333,6 @@ def _apply_mp_update_now(state: SystemState, m: Map, wmp: WireMapPoint,
     state.applied_mp_seq[wmp.mp_id] = key
     mp = m.map_points[wmp.mp_id]
     mp.x, mp.y = wmp.x, wmp.y
-    if wmp.observers:
-        mp.observers = {k for k in wmp.observers if k in m.keyframes}
 
 
 def apply_map_point_update(state: SystemState, map_id: MapId, wmp: WireMapPoint,
@@ -336,14 +342,6 @@ def apply_map_point_update(state: SystemState, map_id: MapId, wmp: WireMapPoint,
         if key <= state.applied_mp_seq.get(wmp.mp_id, _NEVER):
             return PromotionOutcome.DUPLICATE
         _apply_mp_update_now(state, m, wmp, key)
-        return PromotionOutcome.PROMOTED
-    if m is not None and wmp.observers:
-        # Complete definition: create rather than stage.
-        m.map_points[wmp.mp_id] = MapPoint(
-            wmp.mp_id, wmp.x, wmp.y, wmp.landmark_id,
-            observers={k for k in wmp.observers if k in m.keyframes},
-        )
-        state.applied_mp_seq[wmp.mp_id] = key
         return PromotionOutcome.PROMOTED
     state.staged_mp_updates.setdefault(wmp.mp_id, []).append((key, wmp))
     return PromotionOutcome.STAGED
@@ -405,23 +403,16 @@ def _promote_global(state: SystemState, epoch: int) -> None:
 
     # Re-home an absorbed map's entities under the surviving map id.
     absorbed = next((b.absorbed_map for b in batches if b.absorbed_map), None)
-    note_merge(state, absorbed, head.map_id)
     if absorbed is not None and absorbed in state.slam and surviving is not None:
-        lost = state.slam.pop(absorbed)
-        for kf_id in sorted(lost.keyframes):
-            kf = lost.keyframes[kf_id]
-            kf.map_id = surviving.map_id
-            surviving.keyframes[kf_id] = kf
-            state.kf_map_index[kf_id] = surviving.map_id
-        for mp_id in sorted(lost.map_points):
-            surviving.map_points[mp_id] = lost.map_points[mp_id]
+        absorb_map(surviving, state.slam.pop(absorbed))
+    note_merge(state, absorbed, head.map_id)
 
     for b in batches:
         note_fusions(state, dict(b.fused))
     if surviving is not None:
         for b in batches:
             for dead, surv in b.fused:
-                _apply_fusion(surviving, dead, surv)
+                fuse_map_points(surviving, dead, surv)
     for b in batches:
         key = update_key(epoch, PHASE_GLOBAL, b.seq)
         for upd in b.kf_updates:
@@ -445,9 +436,6 @@ def _promote_global(state: SystemState, epoch: int) -> None:
                     (key, wmp))
                 continue
             mp.x, mp.y = wmp.x, wmp.y
-            if wmp.observers:
-                mp.observers = {k for k in wmp.observers
-                                if k in surviving.keyframes}
             state.applied_mp_seq[wmp.mp_id] = max(
                 state.applied_mp_seq.get(wmp.mp_id, _NEVER), key)
     state.globally_optimized.add(head.map_id)
@@ -478,31 +466,15 @@ def _rebuild_observers(m: Map) -> None:
                 mp.observers.add(kf_id)
 
 
-def _apply_fusion(m: Map, dead_id: str, surv_id: str) -> None:
-    dead = m.map_points.get(dead_id)
-    surv = m.map_points.get(surv_id)
-    if dead is None or surv is None or dead_id == surv_id:
-        return
-    for kf_id in sorted(dead.observers):
-        kf = m.keyframes.get(kf_id)
-        if kf is None:
-            continue
-        obs = kf.observations.pop(dead_id, None)
-        if obs is not None and surv_id not in kf.observations:
-            kf.observations[surv_id] = obs
-        surv.observers.add(kf_id)
-    del m.map_points[dead_id]
-
-
 def collect_dirty(state: SystemState, center: KeyFrameId, n_covisible: int,
                   schedule: list[int], seq_start: int, map_id: MapId,
                   set_init_optimized: bool = False) -> list[MapBatch]:
     """Build local batches from the dirty entities around a center keyframe.
 
     Covers center plus its strongest covisible neighbors, intersected
-    with the dirty sets; collected flags are cleared, anything outside
-    the window stays dirty. Batch sizes follow the caller's growth
-    schedule (last entry repeats).
+    with the dirty sets; collected ids leave the dirty sets, anything
+    outside the window stays dirty. Batch sizes follow the caller's
+    growth schedule (last entry repeats).
     """
     m = state.slam.get(map_id)
     if m is None or center not in m.keyframes:
@@ -517,21 +489,33 @@ def collect_dirty(state: SystemState, center: KeyFrameId, n_covisible: int,
     if not kf_ids and not mp_ids and not set_init_optimized:
         return []
 
-    for kid in kf_ids:
-        state.dirty_kfs.discard(kid)
-        m.keyframes[kid].dirty = False
-    for mid in mp_ids:
-        state.dirty_mps.discard(mid)
-        m.map_points[mid].dirty = False
+    state.dirty_kfs.difference_update(kf_ids)
+    state.dirty_mps.difference_update(mp_ids)
+    return split_batches(m, BatchKind.LOCAL, state.pause_epoch, seq_start,
+                         kf_ids, mp_ids, schedule,
+                         set_init_optimized=set_init_optimized)
 
+
+def split_batches(m: Map, kind: BatchKind, epoch: int, seq_start: int,
+                  kf_ids: list[KeyFrameId], mp_ids: list[str],
+                  schedule: list[int], *, final: bool = False,
+                  fused: tuple[tuple[str, str], ...] = (),
+                  absorbed_map: MapId | None = None,
+                  set_init_optimized: bool = False) -> list[MapBatch]:
+    """Split the current values of m's keyframes and points into batches.
+
+    Keyframe ids fill batches of the schedule's sizes in turn (the last
+    size repeats) and point ids spread evenly over those batches; there
+    is always at least one batch. fused, absorbed_map and
+    set_init_optimized ride on the first batch; with final set, the last
+    batch closes the epoch.
+    """
     chunks: list[list[KeyFrameId]] = []
     i = 0
-    si = 0
     while i < len(kf_ids):
-        size = schedule[min(si, len(schedule) - 1)]
+        size = schedule[min(len(chunks), len(schedule) - 1)]
         chunks.append(kf_ids[i:i + size])
         i += size
-        si += 1
     if not chunks:
         chunks = [[]]
 
@@ -548,10 +532,14 @@ def collect_dirty(state: SystemState, center: KeyFrameId, n_covisible: int,
                          m.map_points[mid].origin_landmark)
             for mid in mp_slice
         )
+        first = bi == 0
         batches.append(MapBatch(
-            BatchKind.LOCAL, map_id, state.pause_epoch, seq_start + bi,
-            final=False, kf_updates=kf_updates, mp_updates=mp_updates,
-            set_init_optimized=set_init_optimized and bi == 0,
+            kind, m.map_id, epoch, seq_start + bi,
+            final=final and bi == n_batches - 1,
+            kf_updates=kf_updates, mp_updates=mp_updates,
+            fused=fused if first else (),
+            absorbed_map=absorbed_map if first else None,
+            set_init_optimized=set_init_optimized and first,
         ))
     return batches
 

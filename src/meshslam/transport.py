@@ -128,27 +128,40 @@ def write_frame(sock: socket.socket, data: bytes) -> None:
     sock.sendall(FRAME_HEADER.pack(len(data)) + data)
 
 
-def read_frame(sock: socket.socket) -> bytes | None:
+def read_frame(sock: socket.socket,
+               stop: threading.Event | None = None) -> bytes | None:
     """One length-prefixed frame, or None when the peer closes first.
 
     A declared length above MAX_FRAME_LEN raises FrameTooLarge before
     any of the body is read; the stream cannot be resynchronized then.
+    Without stop, a timeout on sock propagates. With stop, a timeout
+    only re-checks it: the read resumes where it left off, so a frame
+    split across timeouts arrives intact, and once stop is set the
+    result is None.
     """
-    head = _read_exact(sock, FRAME_HEADER.size)
+    head = _read_exact(sock, FRAME_HEADER.size, stop)
     if head is None:
         return None
     (length,) = FRAME_HEADER.unpack(head)
     if length > MAX_FRAME_LEN:
         raise FrameTooLarge(f"frame declares {length} bytes > {MAX_FRAME_LEN}")
-    return _read_exact(sock, length)
+    return _read_exact(sock, length, stop)
 
 
-def _read_exact(sock: socket.socket, n: int) -> bytes | None:
+def _read_exact(sock: socket.socket, n: int,
+                stop: threading.Event | None) -> bytes | None:
     buf = bytearray(n)
     with memoryview(buf) as view:
         got = 0
         while got < n:
-            k = sock.recv_into(view[got:])
+            try:
+                k = sock.recv_into(view[got:])
+            except socket.timeout:
+                if stop is None:
+                    raise
+                if stop.is_set():
+                    return None
+                continue
             if k == 0:
                 return None
             got += k
@@ -188,12 +201,10 @@ class SocketTransport:
             self._threads.append(t)
 
     def _read_loop(self, conn: socket.socket) -> None:
-        conn.settimeout(0.5)
+        conn.settimeout(0.5)  # how often a blocked read checks for close()
         while not self._stop.is_set():
             try:
-                data = read_frame(conn)
-            except socket.timeout:
-                continue
+                data = read_frame(conn, self._stop)
             except (OSError, FrameTooLarge):
                 return
             if data is None:

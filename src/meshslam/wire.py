@@ -53,9 +53,6 @@ class UnknownKind(DecodeError):
     pass
 
 
-UnsupportedVersion = UnknownVersion
-
-
 class TopicViolation(WireError):
     """A role published on a topic its current duties do not permit."""
 
@@ -110,7 +107,7 @@ def check_topic_permission(topic: Topic, duties: set[str]) -> None:
 
 def encode(env: Envelope) -> bytes:
     if env.version != WIRE_VERSION:
-        raise UnsupportedVersion(f"cannot encode version {env.version}")
+        raise UnknownVersion(f"cannot encode version {env.version}")
     if len(env.payload) > MAX_PAYLOAD:
         raise WireError("payload too large")
     kind_target = (env.target.value << 4) | env.kind.value

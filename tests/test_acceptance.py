@@ -20,14 +20,11 @@ from meshslam.runner import run_centralized, run_distributed
 from meshslam.scenarios import TrajectoryKind, default_scenario
 from meshslam.state import (
     EpochMismatch,
-    PHASE_LOCAL,
     SystemState,
-    apply_keyframe_update,
     apply_map_batch,
     apply_new_keyframe,
     canonical_digest,
     observe_epoch,
-    update_key,
 )
 from meshslam.wire import DecodeError, Topic, decode, encode
 
@@ -335,9 +332,6 @@ def replay(envs) -> str:
         payload = decode_payload(env.kind, env.payload)
         if env.kind is PayloadKind.NEW_KEYFRAME:
             apply_new_keyframe(st, payload)
-        elif env.kind is PayloadKind.KEYFRAME_UPDATE:
-            apply_keyframe_update(
-                st, payload, update_key(env.pause_epoch, PHASE_LOCAL, env.seq))
         elif env.kind is PayloadKind.MAP_BATCH:
             try:
                 apply_map_batch(st, payload)

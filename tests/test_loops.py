@@ -12,7 +12,14 @@ from meshslam.core import (
     track_frame,
 )
 from meshslam.core.loops import signature
-from meshslam.core.types import CandidateKind, InsufficientOverlap, TrackStatus, UpdateKind
+from meshslam.core.types import (
+    CandidateKind,
+    InsufficientOverlap,
+    InvalidCandidate,
+    LoopCandidate,
+    TrackStatus,
+    UpdateKind,
+)
 from meshslam.core import covis
 from meshslam.geometry import Pose2
 
@@ -295,3 +302,30 @@ def test_merge_rejects_thin_overlap(alloc):
     with pytest.raises(InsufficientOverlap):
         merge_maps(maps, cand)
     assert len(maps) == 2
+
+
+def test_close_loop_refuses_a_merge_candidate(alloc):
+    m1, m2 = two_corridor_maps(alloc)
+    kf_id = sorted(m2.keyframes)[-1]
+    cand = LoopCandidate(CandidateKind.MERGE, kf_id, sorted(m1.keyframes)[0],
+                         m1.map_id, 0.5)
+    before = {k: v.pose for k, v in m2.keyframes.items()}
+    with pytest.raises(InvalidCandidate):
+        close_loop(m2, cand)
+    assert {k: v.pose for k, v in m2.keyframes.items()} == before
+
+
+def test_merge_maps_refuses_a_candidate_within_one_map(alloc):
+    m1, m2 = two_corridor_maps(alloc)
+    maps = {m1.map_id: m1, m2.map_id: m2}
+    sizes = (len(m1.keyframes), len(m2.keyframes))
+    kf_id = sorted(m2.keyframes)[-1]
+    loop = LoopCandidate(CandidateKind.LOOP, kf_id, sorted(m1.keyframes)[0],
+                         m1.map_id, 0.5)
+    same_map = LoopCandidate(CandidateKind.MERGE, kf_id,
+                             sorted(m2.keyframes)[0], m2.map_id, 0.5)
+    for cand in (loop, same_map):
+        with pytest.raises(InvalidCandidate):
+            merge_maps(maps, cand)
+    assert maps == {m1.map_id: m1, m2.map_id: m2}
+    assert (len(m1.keyframes), len(m2.keyframes)) == sizes

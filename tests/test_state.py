@@ -18,6 +18,7 @@ from meshslam.messages import (
 )
 from meshslam.state import (
     PHASE_LOCAL,
+    DanglingReference,
     EpochMismatch,
     PromotionOutcome,
     SystemState,
@@ -30,6 +31,7 @@ from meshslam.state import (
     observe_epoch,
     update_key,
 )
+from meshslam.state import _insert_keyframe
 
 
 def lkey(seq, epoch=0):
@@ -95,6 +97,18 @@ def test_unknown_map_buffers_whole_payload():
     assert out is PromotionOutcome.STAGED
     assert MAP in st.staged_kfs
     assert not st.slam
+
+
+def test_insertion_refuses_a_dangling_observation():
+    # apply_new_keyframe stages such a payload; inserting it anyway must
+    # fail loudly, also under python -O.
+    st = SystemState()
+    apply_new_keyframe(st, kf_payload(0, [mp(0)], new=[mp(0)], origin=True))
+    m = st.slam[MAP]
+    with pytest.raises(DanglingReference):
+        _insert_keyframe(st, m, kf_payload(1, [mp(0), mp(5)]))
+    assert KeyFrameId(1, 1) not in m.keyframes
+    assert m.map_points[mp(0)].observers == {KeyFrameId(1, 0)}
 
 
 def test_keyframe_update_applies_or_stages():

@@ -2,17 +2,28 @@
 
 import socket
 import threading
+import time
 
 import pytest
 
+from meshslam.messages import DiscoveryPayload, PayloadKind, encode_payload
+from meshslam.policy import Role
 from meshslam.transport import (
     FRAME_HEADER,
     MAX_FRAME_LEN,
     FrameTooLarge,
+    SocketTransport,
     read_frame,
     write_frame,
 )
-from meshslam.wire import FOOTER_LEN, HEADER_LEN, MAX_PAYLOAD
+from meshslam.wire import (
+    FOOTER_LEN,
+    HEADER_LEN,
+    MAX_PAYLOAD,
+    Envelope,
+    Topic,
+    encode,
+)
 
 
 @pytest.fixture
@@ -80,3 +91,40 @@ def test_peer_closing_between_frames_reads_as_closed(pair):
     a.close()
     assert read_frame(b) == b"last"
     assert read_frame(b) is None
+
+
+def _wait_for(predicate, timeout_s: float) -> bool:
+    deadline = time.monotonic() + timeout_s
+    while not predicate() and time.monotonic() < deadline:
+        time.sleep(0.01)
+    return predicate()
+
+
+def test_frame_split_across_a_read_timeout_arrives_intact(pair):
+    a, b = pair
+    received = []
+    transport = SocketTransport(Role.TRACKING, 0, {}, received.append)
+    reader = threading.Thread(target=transport._read_loop, args=(b,),
+                              daemon=True)
+    try:
+        reader.start()
+        envs = [Envelope(Topic.DISCOVERY, Role.MAPPING, seq, 0,
+                         PayloadKind.DISCOVERY,
+                         encode_payload(DiscoveryPayload(seq)))
+                for seq in range(2)]
+        wire = b"".join(FRAME_HEADER.pack(len(encode(e))) + encode(e)
+                        for e in envs)
+        # The read loop wakes every 0.5 s; pause longer than that inside
+        # the first frame, then send its rest together with a second one.
+        a.sendall(wire[:10])
+        time.sleep(0.8)
+        a.sendall(wire[10:])
+        assert _wait_for(lambda: len(received) == 2, 5.0)
+        assert received == envs
+        # A read blocked inside a frame still notices close().
+        a.sendall(wire[:10])
+        time.sleep(0.1)
+    finally:
+        transport.close()
+        reader.join(timeout=5.0)
+    assert not reader.is_alive()

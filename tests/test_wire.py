@@ -3,7 +3,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from meshslam.codec import TruncatedInput
+from meshslam.codec import TrailingInput, TruncatedInput
 from meshslam.geometry import Pose2
 from meshslam.ids import KeyFrameId, MapId, mint_map_point_id
 from meshslam.messages import (
@@ -32,7 +32,6 @@ from meshslam.wire import (
     Truncated,
     UnknownTopic,
     UnknownVersion,
-    UnsupportedVersion,
     check_topic_permission,
     decode,
     encode,
@@ -68,8 +67,8 @@ def sample_envelopes():
             (WireMapPoint(mp, 4.0, 5.0, 9),)), Target.LM),
         (Topic.MAP_LOCAL, PayloadKind.MAP_BATCH, MapBatch(
             BatchKind.LOCAL, map_id, 0, 4, False,
-            (KeyFrameUpdate(kf_id, Pose2(0, 1, 2), (mp,)),),
-            (WireMapPoint(mp, 1, 2, 9, (kf_id,)),)), Target.NONE),
+            (KeyFrameUpdate(kf_id, Pose2(0, 1, 2)),),
+            (WireMapPoint(mp, 1, 2, 9),)), Target.NONE),
         (Topic.MAP_GLOBAL, PayloadKind.MAP_BATCH, MapBatch(
             BatchKind.MM, map_id, 2, 1, True,
             (KeyFrameUpdate(kf_id, Pose2(0, 1, 2)),), (),
@@ -78,8 +77,8 @@ def sample_envelopes():
          GlobalUpdateStart(3, map_id, BatchKind.LC), Target.NONE),
         (Topic.DISCOVERY, PayloadKind.DISCOVERY,
          DiscoveryPayload(0xDEADBEEF), Target.NONE),
-        (Topic.KF_FORWARD, PayloadKind.KEYFRAME_UPDATE,
-         KeyFrameUpdate(kf_id, Pose2(7, 8, -1.0), (mp,)), Target.LC),
+        (Topic.DISCOVERY, PayloadKind.HEARTBEAT, HeartbeatPayload(),
+         Target.NONE),
     ]
     for i, (topic, kind, payload, target) in enumerate(payloads):
         yield Envelope(topic, Role.MAPPING, i, 2, kind,
@@ -98,19 +97,21 @@ def test_roundtrip_every_payload_kind():
 def test_every_proper_prefix_of_a_payload_is_truncated():
     # Fixed runs of fields are read with one call each: a cut inside a
     # run must still surface as TruncatedInput, which the node drops, and
-    # never as struct.error.
+    # never as struct.error. A byte past the end is rejected too, so each
+    # payload has exactly one encoding.
     for env, _ in sample_envelopes():
         data = env.payload
-        assert data
         for cut in range(len(data)):
             with pytest.raises(TruncatedInput):
                 decode_payload(env.kind, data[:cut])
+        with pytest.raises(TrailingInput):
+            decode_payload(env.kind, data + b"\x00")
 
 
 def test_encoder_refuses_other_versions():
     env = Envelope(Topic.DISCOVERY, Role.TRACKING, 0, 0,
                    PayloadKind.HEARTBEAT, b"", version=0)
-    with pytest.raises(UnsupportedVersion):
+    with pytest.raises(UnknownVersion):
         encode(env)
 
 
