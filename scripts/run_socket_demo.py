@@ -99,9 +99,9 @@ def main() -> int:
     time.sleep(1.0)
 
     with locks[TR]:
-        d_tr = canonical_digest(nodes[TR].state).value
+        d_tr = canonical_digest(nodes[TR].state)
     with locks[LM]:
-        d_lm = canonical_digest(nodes[LM].state).value
+        d_lm = canonical_digest(nodes[LM].state)
     print(f"tracking digest: {d_tr}")
     print(f"mapping digest:  {d_lm}")
     print("converged" if d_tr == d_lm else "NOT converged")

@@ -6,14 +6,16 @@ fixed run of fields has one precompiled ``struct.Struct``: the writer
 packs a run into its buffer with one call, and the reader unpacks a run
 at its offset with one call, without slicing. The reader bounds-checks
 every access before unpacking, so arbitrary input can never over-read or
-crash a decoder: running past the end raises ``TruncatedInput``, and a
-decoder that stops short of the end raises ``TrailingInput``, so each
-value has exactly one encoding.
+crash a decoder: running past the end raises ``TruncatedInput``, a
+decoder that stops short of the end raises ``TrailingInput``, and a flag
+byte other than 0 or 1 raises ``BadFlag``, so each value has exactly one
+encoding.
 """
 
 from __future__ import annotations
 
 import struct
+from itertools import starmap
 
 U8 = struct.Struct("<B")
 U32 = struct.Struct("<I")
@@ -27,6 +29,17 @@ class TruncatedInput(Exception):
 
 class TrailingInput(ValueError):
     """Bytes remained after a complete value was read."""
+
+
+class BadFlag(ValueError):
+    """A flag byte held a value other than 0 or 1."""
+
+
+def flag(v: int) -> bool:
+    """The bool a decoded flag byte encodes; only 0 and 1 are canonical."""
+    if v > 1:
+        raise BadFlag(f"flag byte {v}")
+    return v == 1
 
 
 class Writer:
@@ -48,6 +61,11 @@ class Writer:
     def pack(self, fmt: struct.Struct, *values) -> "Writer":
         """Append a fixed run of fields packed with one call."""
         self._buf += fmt.pack(*values)
+        return self
+
+    def pack_many(self, fmt: struct.Struct, rows) -> "Writer":
+        """Append one run of fmt's fields per row, in row order."""
+        self._buf += b"".join(starmap(fmt.pack, rows))
         return self
 
     def getvalue(self) -> bytes:

@@ -39,7 +39,7 @@ class _Problem:
     (anchor) keyframes, in deterministic (map point, observer) order.
     """
 
-    def __init__(self, m: Map, free_kfs: list[KeyFrameId], free_mps: list[str]):
+    def __init__(self, m: Map, free_kfs: list[KeyFrameId], free_mps: list[int]):
         self.map = m
         self.free_kfs = free_kfs
         self.free_mps = free_mps
@@ -233,7 +233,7 @@ def _solve(problem: _Problem, max_iters: int) -> None:
 
 
 def local_bundle_adjust(m: Map, center: KeyFrameId, n_covisible: int
-                        ) -> tuple[set[KeyFrameId], set[str]]:
+                        ) -> tuple[set[KeyFrameId], set[int]]:
     """Optimize the window around center; returns the dirtied entity ids.
 
     The window is center plus its strongest covisible keyframes; every
@@ -247,7 +247,7 @@ def local_bundle_adjust(m: Map, center: KeyFrameId, n_covisible: int
     oldest = window[0]
     free_kfs = [k for k in window if k != oldest]
 
-    mp_ids: set[str] = set()
+    mp_ids: set[int] = set()
     for kid in window:
         mp_ids |= set(m.keyframes[kid].observations)
     free_mps = sorted(mid for mid in mp_ids if mid in m.map_points)
@@ -257,7 +257,7 @@ def local_bundle_adjust(m: Map, center: KeyFrameId, n_covisible: int
     return set(window), set(free_mps)
 
 
-def global_bundle_adjust(m: Map) -> tuple[set[KeyFrameId], set[str]]:
+def global_bundle_adjust(m: Map) -> tuple[set[KeyFrameId], set[int]]:
     """Optimize all poses and points of a map with its origin fixed.
 
     Marks the map as having had its initial keyframes optimized; every

@@ -73,11 +73,11 @@ def detect_loop_or_merge(maps: dict[MapId, Map], kf: KeyFrame,
     return best
 
 
-def _age_key(mp: MapPoint) -> tuple[KeyFrameId, str]:
+def _age_key(mp: MapPoint) -> tuple[KeyFrameId, int]:
     return (min(mp.observers), mp.id)
 
 
-def _fuse_pair(m: Map, a_id: str, b_id: str) -> tuple[str, str]:
+def _fuse_pair(m: Map, a_id: int, b_id: int) -> tuple[int, int]:
     """Fuse two duplicate map points; the older one survives.
 
     Returns (dead_id, survivor_id).
@@ -88,7 +88,7 @@ def _fuse_pair(m: Map, a_id: str, b_id: str) -> tuple[str, str]:
     return dead.id, surv.id
 
 
-def fuse_map_points(m: Map, dead_id: str, surv_id: str) -> None:
+def fuse_map_points(m: Map, dead_id: int, surv_id: int) -> None:
     """Replace map point dead_id by surv_id in every observing keyframe.
 
     A keyframe observing both keeps the survivor's observation. A no-op
@@ -119,13 +119,13 @@ def absorb_map(surv: Map, lost: Map) -> None:
         surv.map_points[mp_id] = lost.map_points[mp_id]
 
 
-def _landmark_reps(m: Map, kf: KeyFrame | None = None) -> dict[int, str]:
+def _landmark_reps(m: Map, kf: KeyFrame | None = None) -> dict[int, int]:
     """One deterministic representative map point per landmark.
 
     Restricted to a keyframe's observations when kf is given, otherwise
     over the whole map.
     """
-    reps: dict[int, str] = {}
+    reps: dict[int, int] = {}
     ids = kf.observations.keys() if kf is not None else m.map_points.keys()
     for mp_id in sorted(ids):
         mp = m.map_points.get(mp_id)
@@ -150,7 +150,7 @@ def close_loop(m: Map, cand: LoopCandidate) -> GlobalUpdateRecord:
     reps_a = _landmark_reps(m, kf)
     reps_b = _landmark_reps(m, other)
 
-    fused: dict[str, str] = {}
+    fused: dict[int, int] = {}
     for lm in sorted(set(reps_a) & set(reps_b)):
         a_id, b_id = reps_a[lm], reps_b[lm]
         if a_id == b_id or a_id not in m.map_points or b_id not in m.map_points:
@@ -209,7 +209,7 @@ def merge_maps(maps: dict[MapId, Map], cand: LoopCandidate
     del maps[absorbed_id]
     absorb_map(surv_map, lost_map)
 
-    fused: dict[str, str] = {}
+    fused: dict[int, int] = {}
     for lm in common:
         a_id, b_id = reps_lost[lm], reps_surv[lm]
         if a_id in surv_map.map_points and b_id in surv_map.map_points:

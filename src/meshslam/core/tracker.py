@@ -34,7 +34,7 @@ def track_frame(m: Map, last_pose: Pose2, frame: Frame, window: int,
     """
     recent = m.latest_keyframe_ids(window)
     keyframes, map_points = m.keyframes, m.map_points
-    candidate_ids: set[str] = set()
+    candidate_ids: set[int] = set()
     for kid in recent:
         candidate_ids.update(keyframes[kid].observations)
     # Each landmark maps to its smallest map point id: the pairs come in
@@ -44,7 +44,7 @@ def track_frame(m: Map, last_pose: Pose2, frame: Frame, window: int,
         (mp.origin_landmark, mp_id) for mp_id in sorted(candidate_ids)
         if (mp := map_points_get(mp_id)) is not None]))
 
-    matches: dict[str, Observation] = {}
+    matches: dict[int, Observation] = {}
     for obs in frame.observations:
         mp_id = visible.get(obs.landmark_id)
         if mp_id is not None:
@@ -84,7 +84,7 @@ def create_keyframe(frame: Frame, tr: TrackResult, alloc: IdAllocator,
     """Insert a keyframe for a tracked frame; unmatched observations
     spawn new map points back-projected from the tracked pose."""
     kf_id = alloc.next_keyframe_id()
-    observations: dict[str, Observation] = dict(tr.matches)
+    observations: dict[int, Observation] = dict(tr.matches)
     matched_landmarks = {o.landmark_id for o in tr.matches.values()}
 
     new_points: list[MapPoint] = []

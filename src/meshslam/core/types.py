@@ -60,7 +60,7 @@ class Frame:
 
 @dataclass(slots=True)
 class MapPoint:
-    id: str
+    id: int
     x: float
     y: float
     origin_landmark: int
@@ -71,7 +71,7 @@ class MapPoint:
 class KeyFrame:
     id: KeyFrameId
     pose: Pose2
-    observations: dict[str, Observation]
+    observations: dict[int, Observation]
     map_id: MapId
     ref_point_count: int = 0
     covisible: dict[KeyFrameId, int] = field(default_factory=dict)
@@ -82,7 +82,7 @@ class Map:
     map_id: MapId
     origin_kf: KeyFrameId
     keyframes: dict[KeyFrameId, KeyFrame] = field(default_factory=dict)
-    map_points: dict[str, MapPoint] = field(default_factory=dict)
+    map_points: dict[int, MapPoint] = field(default_factory=dict)
     initialized_optimized: bool = False
 
     def latest_keyframe_ids(self, n: int) -> list[KeyFrameId]:
@@ -102,7 +102,7 @@ class TrackStatus(enum.Enum):
 class TrackResult:
     status: TrackStatus
     pose: Pose2
-    matches: dict[str, Observation]
+    matches: dict[int, Observation]
     tracked_ratio: float
     diverged: bool = False
 
@@ -134,6 +134,6 @@ class GlobalUpdateRecord:
     kind: UpdateKind
     map_id: MapId
     kf_ids: list[KeyFrameId]
-    mp_ids: list[str]
-    fused: dict[str, str] = field(default_factory=dict)  # dead id -> survivor id
+    mp_ids: list[int]
+    fused: dict[int, int] = field(default_factory=dict)  # dead id -> survivor id
     absorbed_map: MapId | None = None

@@ -1,9 +1,12 @@
 """Identifiers for keyframes, map points, and maps.
 
-Map point ids are hashed strings rather than plain counters so several
-nodes can mint them concurrently without coordination; the hash input is
-(origin role byte, per-node counter), which makes minting reproducible
-and collision-free (the mixer is a bijection on 64-bit inputs).
+A map point id is an unsigned 64-bit integer, the same value in memory,
+on the wire and in the state digest. It is the splitmix64 hash of
+(origin role byte, per-node counter) rather than a plain counter, so
+several nodes can mint ids concurrently without coordination; minting
+is reproducible and collision-free because the mixer is a bijection on
+64-bit inputs. Sorted ids order the bundle adjustment's variables and
+the digest, so replacing the mixer would change every result.
 """
 
 from __future__ import annotations
@@ -48,24 +51,13 @@ class MapId(NamedTuple):
         return f"map:{self.origin}:{self.counter}"
 
 
-def mint_map_point_id(origin: int, counter: int) -> str:
-    """Deterministic 16-char lowercase hex id for a (node, counter) pair."""
+def mint_map_point_id(origin: int, counter: int) -> int:
+    """Deterministic u64 id for a (node, counter) pair."""
     if not 0 <= origin < 256:
         raise ValueError(f"origin byte out of range: {origin}")
     if not 0 <= counter < (1 << 56):
         raise ValueError(f"counter out of range: {counter}")
-    return f"{splitmix64((origin << 56) | counter):016x}"
-
-
-def map_point_id_to_int(mp_id: str) -> int:
-    """Parse the 16-hex-char map point id to its u64; exact round-trip."""
-    if len(mp_id) != 16:
-        raise ValueError(f"bad map point id length: {mp_id!r}")
-    return int(mp_id, 16)
-
-
-def map_point_id_from_int(value: int) -> str:
-    return f"{value & _MASK64:016x}"
+    return splitmix64((origin << 56) | counter)
 
 
 class IdAllocator:
@@ -82,7 +74,7 @@ class IdAllocator:
         self._kf_seq += 1
         return kid
 
-    def next_map_point_id(self) -> str:
+    def next_map_point_id(self) -> int:
         mp = mint_map_point_id(self.origin, self._mp_counter)
         self._mp_counter += 1
         return mp

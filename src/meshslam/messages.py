@@ -6,6 +6,9 @@ and map point updates (position only), either applied immediately
 (local kind) or staged for atomic promotion (global kinds). Observer
 sets never travel: every replica derives them from keyframe
 observations.
+
+A record class that is a ``NamedTuple`` is one struct row: its field
+order is its wire layout.
 """
 
 from __future__ import annotations
@@ -13,15 +16,11 @@ from __future__ import annotations
 import enum
 import struct
 from dataclasses import dataclass
+from typing import NamedTuple
 
-from meshslam.codec import ID, Reader, TrailingInput, Writer
+from meshslam.codec import ID, Reader, TrailingInput, Writer, flag
 from meshslam.geometry import Pose2
-from meshslam.ids import (
-    KeyFrameId,
-    MapId,
-    map_point_id_from_int,
-    map_point_id_to_int,
-)
+from meshslam.ids import KeyFrameId, MapId
 
 
 class PayloadKind(enum.Enum):
@@ -45,9 +44,10 @@ class BatchKind(enum.Enum):
     MM = 3
 
 
-@dataclass(frozen=True, slots=True)
-class WireObservation:
-    mp_id: str
+class WireObservation(NamedTuple):
+    """One ``_OBSERVATION`` row."""
+
+    mp_id: int
     landmark_id: int
     range: float
     bearing: float
@@ -61,9 +61,10 @@ class WireKeyFrame:
     observations: tuple[WireObservation, ...]
 
 
-@dataclass(frozen=True, slots=True)
-class WireMapPoint:
-    mp_id: str
+class WireMapPoint(NamedTuple):
+    """One ``_MAP_POINT`` row."""
+
+    mp_id: int
     x: float
     y: float
     landmark_id: int
@@ -93,7 +94,7 @@ class MapBatch:
     final: bool
     kf_updates: tuple[KeyFrameUpdate, ...] = ()
     mp_updates: tuple[WireMapPoint, ...] = ()
-    fused: tuple[tuple[str, str], ...] = ()  # (dead id, survivor id)
+    fused: tuple[tuple[int, int], ...] = ()  # (dead id, survivor id)
     absorbed_map: MapId | None = None
     set_init_optimized: bool = False
 
@@ -117,12 +118,10 @@ class HeartbeatPayload:
 
 # Fixed runs of fields, each packed or unpacked with one call. A map or
 # keyframe id is (origin u8, counter u64), a pose three doubles and a map
-# point reference its id as a u64.
-_FUSED = struct.Struct("<QQ")
-# mp ref, landmark, range, bearing
-_OBSERVATION = struct.Struct("<QQdd")
-# mp ref, x, y, landmark
-_MAP_POINT = struct.Struct("<QddQ")
+# point id a u64.
+_FUSED = struct.Struct("<QQ")  # dead id, survivor id
+_OBSERVATION = struct.Struct("<QQdd")  # WireObservation
+_MAP_POINT = struct.Struct("<QddQ")  # WireMapPoint
 # map id, is origin, map init optimized, kf id, pose, ref point count,
 # observation count
 _NEW_KF_HEAD = struct.Struct("<BQBBBQdddII")
@@ -132,18 +131,6 @@ _KF_UPDATE = struct.Struct("<BQddd")
 _BATCH_HEAD = struct.Struct("<BBQIIBBI")
 # epoch, map id, batch kind
 _GLOBAL_START = struct.Struct("<IBQB")
-
-
-def _put_wire_mps(w: Writer, points: tuple[WireMapPoint, ...]) -> None:
-    w.u32(len(points))
-    for mp in points:
-        w.pack(_MAP_POINT, map_point_id_to_int(mp.mp_id), mp.x, mp.y,
-               mp.landmark_id)
-
-
-def _get_wire_mps(r: Reader) -> tuple[WireMapPoint, ...]:
-    return tuple(WireMapPoint(map_point_id_from_int(mp_ref), x, y, lm)
-                 for mp_ref, x, y, lm in r.unpack_many(_MAP_POINT, r.u32()))
 
 
 def encode_payload(payload) -> bytes:
@@ -156,10 +143,8 @@ def encode_payload(payload) -> bytes:
                1 if payload.map_init_optimized else 0,
                kf.kf_id.origin, kf.kf_id.seq, p.x, p.y, p.theta,
                kf.ref_point_count, len(kf.observations))
-        for o in kf.observations:
-            w.pack(_OBSERVATION, map_point_id_to_int(o.mp_id), o.landmark_id,
-                   o.range, o.bearing)
-        _put_wire_mps(w, payload.new_points)
+        w.pack_many(_OBSERVATION, kf.observations)
+        w.u32(len(payload.new_points)).pack_many(_MAP_POINT, payload.new_points)
     elif isinstance(payload, MapBatch):
         w.pack(_BATCH_HEAD, payload.kind.value, payload.map_id.origin,
                payload.map_id.counter, payload.epoch, payload.seq,
@@ -170,15 +155,12 @@ def encode_payload(payload) -> bytes:
             p = upd.pose
             w.pack(_KF_UPDATE, upd.kf_id.origin, upd.kf_id.seq, p.x, p.y,
                    p.theta)
-        _put_wire_mps(w, payload.mp_updates)
-        w.u32(len(payload.fused))
-        for dead, surv in payload.fused:
-            w.pack(_FUSED, map_point_id_to_int(dead), map_point_id_to_int(surv))
-        if payload.absorbed_map is not None:
-            w.u8(1)
-            w.pack(ID, payload.absorbed_map.origin, payload.absorbed_map.counter)
-        else:
+        w.u32(len(payload.mp_updates)).pack_many(_MAP_POINT, payload.mp_updates)
+        w.u32(len(payload.fused)).pack_many(_FUSED, payload.fused)
+        if payload.absorbed_map is None:
             w.u8(0)
+        else:
+            w.u8(1).pack(ID, *payload.absorbed_map)
     elif isinstance(payload, GlobalUpdateStart):
         w.pack(_GLOBAL_START, payload.epoch, payload.map_id.origin,
                payload.map_id.counter, payload.kind.value)
@@ -205,14 +187,15 @@ def _decode(kind: PayloadKind, r: Reader):
     if kind is PayloadKind.NEW_KEYFRAME:
         (map_origin, map_counter, is_origin, init_opt, kf_origin, kf_seq,
          x, y, theta, ref_count, n_obs) = r.unpack(_NEW_KF_HEAD)
-        observations = tuple(
-            WireObservation(map_point_id_from_int(ref), lm, rng, brg)
-            for ref, lm, rng, brg in r.unpack_many(_OBSERVATION, n_obs))
-        new_points = _get_wire_mps(r)
+        observations = tuple(map(WireObservation._make,
+                                 r.unpack_many(_OBSERVATION, n_obs)))
+        new_points = tuple(map(WireMapPoint._make,
+                               r.unpack_many(_MAP_POINT, r.u32())))
         kf = WireKeyFrame(KeyFrameId(kf_origin, kf_seq), Pose2(x, y, theta),
                           ref_count, observations)
         return NewKeyFramePayload(MapId(map_origin, map_counter),
-                                  is_origin != 0, init_opt != 0, kf, new_points)
+                                  flag(is_origin), flag(init_opt), kf,
+                                  new_points)
     if kind is PayloadKind.MAP_BATCH:
         (bkind, map_origin, map_counter, epoch, seq, final, set_init,
          n_kf_updates) = r.unpack(_BATCH_HEAD)
@@ -221,14 +204,13 @@ def _decode(kind: PayloadKind, r: Reader):
             KeyFrameUpdate(KeyFrameId(kf_origin, kf_seq), Pose2(x, y, theta))
             for kf_origin, kf_seq, x, y, theta
             in r.unpack_many(_KF_UPDATE, n_kf_updates))
-        mp_updates = _get_wire_mps(r)
-        fused = tuple(
-            (map_point_id_from_int(dead), map_point_id_from_int(surv))
-            for dead, surv in r.unpack_many(_FUSED, r.u32()))
-        absorbed = MapId(*r.unpack(ID)) if r.u8() != 0 else None
+        mp_updates = tuple(map(WireMapPoint._make,
+                               r.unpack_many(_MAP_POINT, r.u32())))
+        fused = tuple(r.unpack_many(_FUSED, r.u32()))
+        absorbed = MapId(*r.unpack(ID)) if flag(r.u8()) else None
         return MapBatch(bkind, MapId(map_origin, map_counter), epoch, seq,
-                        final != 0, kf_updates, mp_updates, fused, absorbed,
-                        set_init != 0)
+                        flag(final), kf_updates, mp_updates, fused, absorbed,
+                        flag(set_init))
     if kind is PayloadKind.GLOBAL_UPDATE_START:
         epoch, map_origin, map_counter, bkind = r.unpack(_GLOBAL_START)
         return GlobalUpdateStart(epoch, MapId(map_origin, map_counter),

@@ -77,7 +77,7 @@ def run_centralized(spec: ScenarioSpec, config: NodeConfig | None = None
         node.on_frame(frame)
 
     estimate = node.final_trajectory()
-    digest = canonical_digest(node.state).value
+    digest = canonical_digest(node.state)
     metrics = MetricsReport(
         scenario=spec.trajectory.value, nodes=1,
         rms_ate=_safe_ate(estimate, gt),
@@ -160,7 +160,7 @@ def run_distributed(spec: ScenarioSpec, topology: TopologySpec,
     sim.account.duration_s = max(sim.now, input_end_ms) / 1000.0
 
     alive = [r for r in roles if r not in sim.crashed]
-    digests = {r.value: canonical_digest(nodes[r].state).value for r in alive}
+    digests = {r.value: canonical_digest(nodes[r].state) for r in alive}
     consistent = len(set(digests.values())) == 1 and bool(digests)
     if consistent:
         last_mutation = max(nodes[r].last_mutation_ms for r in alive)

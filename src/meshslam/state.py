@@ -19,7 +19,7 @@ from meshslam.codec import ID, U32, U64
 from meshslam.core import covis
 from meshslam.core.loops import absorb_map, fuse_map_points
 from meshslam.core.types import KeyFrame, Map, MapPoint, Observation, SlamError
-from meshslam.ids import KeyFrameId, MapId, map_point_id_to_int
+from meshslam.ids import KeyFrameId, MapId
 from meshslam.messages import (
     BatchKind,
     KeyFrameUpdate,
@@ -58,19 +58,11 @@ def update_key(epoch: int, phase: int, seq: int) -> UpdateKey:
     return (epoch, phase, seq)
 
 
-@dataclass(frozen=True)
-class StateDigest:
-    value: str
-
-    def __post_init__(self) -> None:
-        assert len(self.value) == 32
-
-
 @dataclass
 class SystemState:
     slam: dict[MapId, Map] = field(default_factory=dict)
     dirty_kfs: set[KeyFrameId] = field(default_factory=set)
-    dirty_mps: set[str] = field(default_factory=set)
+    dirty_mps: set[int] = field(default_factory=set)
     paused: bool = False
     pause_epoch: int = 0
 
@@ -79,7 +71,7 @@ class SystemState:
         default_factory=dict)
     staged_kf_updates: dict[KeyFrameId, list[tuple[UpdateKey, KeyFrameUpdate]]] = \
         field(default_factory=dict)
-    staged_mp_updates: dict[str, list[tuple[UpdateKey, WireMapPoint]]] = field(
+    staged_mp_updates: dict[int, list[tuple[UpdateKey, WireMapPoint]]] = field(
         default_factory=dict)
     staged_global: dict[int, dict[int, MapBatch]] = field(default_factory=dict)
     global_final_seq: dict[int, int] = field(default_factory=dict)
@@ -88,12 +80,12 @@ class SystemState:
     # Tombstones from point fusion and map merging: a message built before
     # the event may still reference the dead id; arrivals re-key through
     # these maps.
-    fused_forward: dict[str, str] = field(default_factory=dict)
+    fused_forward: dict[int, int] = field(default_factory=dict)
     absorbed_forward: dict[MapId, MapId] = field(default_factory=dict)
 
     # Latest-writer bookkeeping and accounting.
     applied_kf_seq: dict[KeyFrameId, UpdateKey] = field(default_factory=dict)
-    applied_mp_seq: dict[str, UpdateKey] = field(default_factory=dict)
+    applied_mp_seq: dict[int, UpdateKey] = field(default_factory=dict)
     kf_map_index: dict[KeyFrameId, MapId] = field(default_factory=dict)
     counters: dict[str, int] = field(default_factory=dict)
 
@@ -142,7 +134,7 @@ def observe_epoch(state: SystemState, epoch: int) -> None:
         state.paused = True
 
 
-def resolve_mp_id(state: SystemState, mp_id: str) -> str:
+def resolve_mp_id(state: SystemState, mp_id: int) -> int:
     """Chase fusion tombstones to the surviving map point id."""
     seen = []
     while mp_id in state.fused_forward:
@@ -200,8 +192,8 @@ def _insert_keyframe(state: SystemState, m: Map, payload: NewKeyFramePayload) ->
             )
     # Mirror fusion semantics: identity-keyed observations first, then
     # re-keyed ones only where the survivor is not already observed.
-    observations: dict[str, Observation] = {}
-    rekeyed: list[tuple[str, Observation]] = []
+    observations: dict[int, Observation] = {}
+    rekeyed: list[tuple[int, Observation]] = []
     for o in kf_wire.observations:
         mp_id = resolve_mp_id(state, o.mp_id)
         value = Observation(o.landmark_id, o.range, o.bearing)
@@ -481,7 +473,7 @@ def collect_dirty(state: SystemState, center: KeyFrameId, n_covisible: int,
         return []
     window = {center, *covis.strongest_covisible(m, center, n_covisible)}
     kf_ids = sorted(kid for kid in window if kid in state.dirty_kfs)
-    mp_pool: set[str] = set()
+    mp_pool: set[int] = set()
     for kid in window:
         mp_pool |= set(m.keyframes[kid].observations)
     mp_ids = sorted(mid for mid in mp_pool
@@ -497,9 +489,9 @@ def collect_dirty(state: SystemState, center: KeyFrameId, n_covisible: int,
 
 
 def split_batches(m: Map, kind: BatchKind, epoch: int, seq_start: int,
-                  kf_ids: list[KeyFrameId], mp_ids: list[str],
+                  kf_ids: list[KeyFrameId], mp_ids: list[int],
                   schedule: list[int], *, final: bool = False,
-                  fused: tuple[tuple[str, str], ...] = (),
+                  fused: tuple[tuple[int, int], ...] = (),
                   absorbed_map: MapId | None = None,
                   set_init_optimized: bool = False) -> list[MapBatch]:
     """Split the current values of m's keyframes and points into batches.
@@ -580,7 +572,7 @@ def _canonical_buffer(state: SystemState) -> bytearray:
             observations = kf.observations
             for mp_id in sorted(observations):
                 o = observations[mp_id]
-                buf += _OBS_HEAD.pack(map_point_id_to_int(mp_id), o.landmark_id)
+                buf += _OBS_HEAD.pack(mp_id, o.landmark_id)
                 buf += _DEC2 % (round(o.range, 9) + 0.0,
                                 round(o.bearing, 9) + 0.0)
             covisible = kf.covisible
@@ -590,7 +582,7 @@ def _canonical_buffer(state: SystemState) -> bytearray:
         buf += U32.pack(len(m.map_points))
         for mp_id in sorted(m.map_points):
             mp = m.map_points[mp_id]
-            buf += U64.pack(map_point_id_to_int(mp_id))
+            buf += U64.pack(mp_id)
             buf += _DEC2 % (round(mp.x, 9) + 0.0, round(mp.y, 9) + 0.0)
             buf += _MP_TAIL.pack(mp.origin_landmark, len(mp.observers))
             for kid in sorted(mp.observers):
@@ -598,7 +590,7 @@ def _canonical_buffer(state: SystemState) -> bytearray:
     return buf
 
 
-def canonical_digest(state: SystemState) -> StateDigest:
-    """128-bit mixing-hash digest of the canonical promoted-state bytes."""
-    h = hashlib.blake2b(_canonical_buffer(state), digest_size=16)
-    return StateDigest(h.hexdigest())
+def canonical_digest(state: SystemState) -> str:
+    """128-bit blake2b digest of the canonical promoted-state bytes, as
+    32 lowercase hex characters."""
+    return hashlib.blake2b(_canonical_buffer(state), digest_size=16).hexdigest()

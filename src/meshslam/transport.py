@@ -17,6 +17,7 @@ from meshslam.wire import (
     FOOTER_LEN,
     HEADER_LEN,
     MAX_PAYLOAD,
+    DecodeError,
     Envelope,
     Topic,
     WireError,
@@ -180,6 +181,7 @@ class SocketTransport:
         self.role = role
         self.deliver = deliver
         self.peer_ports = peer_ports
+        self.decode_errors = 0  # frames dropped because they did not decode
         self._outgoing: dict[Role, socket.socket] = {}
         self._lock = threading.Lock()
         self._server = socket.create_server(("127.0.0.1", listen_port))
@@ -211,7 +213,8 @@ class SocketTransport:
                 return
             try:
                 env = decode(data)
-            except Exception:
+            except DecodeError:
+                self.decode_errors += 1
                 continue
             self.deliver(env)
 

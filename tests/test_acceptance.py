@@ -339,7 +339,7 @@ def replay(envs) -> str:
                 pass
         elif env.kind is PayloadKind.GLOBAL_UPDATE_START:
             observe_epoch(st, payload.epoch)
-    return canonical_digest(st).value
+    return canonical_digest(st)
 
 
 def test_a11_order_insensitivity():

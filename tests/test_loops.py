@@ -210,7 +210,7 @@ def test_fusion_unions_observers(alloc):
     dup_src = sorted(m.map_points)[0]
     src = m.map_points[dup_src]
     from meshslam.core.types import MapPoint
-    dup = MapPoint("f" * 16, src.x + 0.01, src.y, src.origin_landmark,
+    dup = MapPoint(2**64 - 1, src.x + 0.01, src.y, src.origin_landmark,
                    observers={kf.id})
     m.map_points[dup.id] = dup
     kf.observations[dup.id] = kf.observations[dup_src]

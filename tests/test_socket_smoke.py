@@ -137,9 +137,9 @@ def test_two_node_slam_over_sockets():
         deadline = time.monotonic() + 4.0
         while time.monotonic() < deadline:
             with locks[TR]:
-                d_tr = canonical_digest(nodes[TR].state).value
+                d_tr = canonical_digest(nodes[TR].state)
             with locks[LM]:
-                d_lm = canonical_digest(nodes[LM].state).value
+                d_lm = canonical_digest(nodes[LM].state)
             if d_tr == d_lm:
                 break
             time.sleep(0.05)

@@ -128,3 +128,28 @@ def test_frame_split_across_a_read_timeout_arrives_intact(pair):
         transport.close()
         reader.join(timeout=5.0)
     assert not reader.is_alive()
+
+
+def test_undecodable_frame_is_counted_and_the_next_one_delivered(pair):
+    a, b = pair
+    received = []
+    transport = SocketTransport(Role.TRACKING, 0, {}, received.append)
+    reader = threading.Thread(target=transport._read_loop, args=(b,),
+                              daemon=True)
+    try:
+        reader.start()
+        bad, good = (Envelope(Topic.DISCOVERY, Role.MAPPING, seq, 0,
+                              PayloadKind.DISCOVERY,
+                              encode_payload(DiscoveryPayload(seq)))
+                     for seq in range(2))
+        corrupt = bytearray(encode(bad))
+        corrupt[-1] ^= 0xFF  # the last byte belongs to the crc32
+        write_frame(a, bytes(corrupt))
+        write_frame(a, encode(good))
+        assert _wait_for(lambda: len(received) == 1, 5.0)
+        assert received == [good]
+        assert transport.decode_errors == 1
+    finally:
+        transport.close()
+        reader.join(timeout=5.0)
+    assert not reader.is_alive()

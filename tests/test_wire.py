@@ -108,6 +108,23 @@ def test_every_proper_prefix_of_a_payload_is_truncated():
             decode_payload(env.kind, data + b"\x00")
 
 
+def test_decoding_is_canonical_under_any_one_byte_change():
+    # Whatever a decoder accepts re-encodes to the very same bytes: a flag
+    # byte of 2 is rejected rather than read as True and sent on as 1.
+    for env, _ in sample_envelopes():
+        data = env.payload
+        for pos in range(len(data)):
+            for value in range(256):
+                if value == data[pos]:
+                    continue
+                changed = data[:pos] + bytes([value]) + data[pos + 1:]
+                try:
+                    payload = decode_payload(env.kind, changed)
+                except (TruncatedInput, ValueError):
+                    continue
+                assert encode_payload(payload) == changed, (env.kind, pos)
+
+
 def test_encoder_refuses_other_versions():
     env = Envelope(Topic.DISCOVERY, Role.TRACKING, 0, 0,
                    PayloadKind.HEARTBEAT, b"", version=0)
