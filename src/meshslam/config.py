@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import get_type_hints
@@ -11,28 +12,21 @@ from meshslam.policy import Role
 
 @dataclass(frozen=True)
 class NodeConfig:
-    t_lmfreq_ms: float = 250.0
-    local_batch_min: int = 3
-    local_batch_max: int = 15
+    """The node values a deployment sets; the rest are module constants."""
+
     local_batch_spacing_ms: float = 50.0
-    global_batch_size: int = 10
     global_batch_spacing_ms: float = 100.0
     heartbeat_ms: float = 200.0
-    heartbeat_misses: int = 3
-    kf_min_gap_frames: int = 2
-    kf_ref_ratio: float = 0.80
-    loop_tau: float = 0.4
-    track_window: int = 10
-    lba_covisible: int = 5
-    min_track_matches: int = 10
     loop_enabled: bool = True
 
-    def growth_schedule(self) -> list[int]:
-        """Local batch sizes: doubling from the minimum, capped at the max."""
-        sizes = [self.local_batch_min]
-        while sizes[-1] < self.local_batch_max:
-            sizes.append(min(sizes[-1] * 2, self.local_batch_max))
-        return sizes
+    def __post_init__(self) -> None:
+        hb = self.heartbeat_ms
+        if not (math.isfinite(hb) and hb > 0):
+            raise ValueError(f"heartbeat_ms must be finite and > 0: {hb!r}")
+        for name in ("local_batch_spacing_ms", "global_batch_spacing_ms"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0):
+                raise ValueError(f"{name} must be finite and >= 0: {value!r}")
 
 
 @dataclass(frozen=True)
@@ -48,7 +42,7 @@ class TopologySpec:
     roles: list[Role] = field(default_factory=lambda: [Role.TRACKING])
     links: dict[tuple[Role, Role], LinkProfile] = field(default_factory=dict)
     fault_schedule: str | None = None
-    overrides: dict[str, str] = field(default_factory=dict)
+    config: NodeConfig = NodeConfig()
 
     def link(self, a: Role, b: Role) -> LinkProfile:
         return self.links.get((a, b), LinkProfile())
@@ -86,21 +80,26 @@ def _coerce(value: str, kind: type):
 def node_config_from_entries(entries: dict[str, str],
                              base: NodeConfig | None = None) -> NodeConfig:
     """base with every NodeConfig field named in entries replaced by its
-    value coerced to the field's declared type; other keys are ignored."""
+    value coerced to the field's declared type; a key that names no field
+    raises ValueError."""
     field_types = get_type_hints(NodeConfig)
+    unknown = sorted(set(entries) - set(field_types))
+    if unknown:
+        raise ValueError(f"unknown node-config key(s): {unknown}")
     updates = {key: _coerce(value, field_types[key])
-               for key, value in entries.items() if key in field_types}
+               for key, value in entries.items()}
     return replace(base or NodeConfig(), **updates)
 
 
 def load_topology(path: str | Path) -> TopologySpec:
-    """Topology file: node roles, per-link latency profiles, config keys.
+    """Topology file: node roles, per-link latency profiles, node config.
 
     Recognized keys: ``nodes = tr lm lc``, ``link <a> <b> = tp tproc
     jitter drop`` (applied in both directions), ``fault_schedule =
-    <path>``; any node-config key becomes an override.
+    <path>``, and the NodeConfig fields; any other key raises ValueError.
     """
     spec = TopologySpec()
+    overrides: dict[str, str] = {}
     base = Path(path).parent
     for key, value in parse_kv_file(path):
         parts = key.split()
@@ -117,7 +116,8 @@ def load_topology(path: str | Path) -> TopologySpec:
         elif key == "fault_schedule":
             spec.fault_schedule = str((base / value).resolve())
         else:
-            spec.overrides[key] = value
+            overrides[key] = value
+    spec.config = node_config_from_entries(overrides)
     if Role.TRACKING not in spec.roles:
         raise ValueError("topology must contain the tracking role")
     return spec

@@ -26,6 +26,7 @@ from meshslam.geometry import Pose2, wrap_angle
 from meshslam.ids import KeyFrameId
 
 LBA_MAX_ITERS = 10
+LBA_COVISIBLE = 5  # strongest covisible keyframes in a local window
 GBA_MAX_ITERS = 20
 REL_TOL = 1e-6
 MAX_HALVINGS = 12
@@ -232,7 +233,8 @@ def _solve(problem: _Problem, max_iters: int) -> None:
     problem.unpack(x)
 
 
-def local_bundle_adjust(m: Map, center: KeyFrameId, n_covisible: int
+def local_bundle_adjust(m: Map, center: KeyFrameId,
+                        n_covisible: int = LBA_COVISIBLE
                         ) -> tuple[set[KeyFrameId], set[int]]:
     """Optimize the window around center; returns the dirtied entity ids.
 

@@ -23,9 +23,11 @@ from meshslam.geometry import Pose2, back_project
 from meshslam.ids import IdAllocator
 
 MIN_TRACK_MATCHES = 10
+TRACK_WINDOW = 10  # most recent keyframes whose points are matched
 
 
-def track_frame(m: Map, last_pose: Pose2, frame: Frame, window: int,
+def track_frame(m: Map, last_pose: Pose2, frame: Frame,
+                window: int = TRACK_WINDOW,
                 min_matches: int = MIN_TRACK_MATCHES) -> TrackResult:
     """Estimate the frame pose against the recent-keyframe window.
 

@@ -58,6 +58,12 @@ from meshslam.wire import Envelope, Topic, check_topic_permission
 
 Recorder = Callable[[float, Role, str, dict], None]
 
+LOCAL_MAP_PERIOD_MS = 250.0  # publish tick for dirt a mapping step left
+HEARTBEAT_MISSES = 3  # silent heartbeat periods before a peer departs
+# Local map batch sizes, doubling from 3 to a cap of 15 (the last repeats).
+LOCAL_BATCH_SIZES = [3, 6, 12, 15]
+GLOBAL_BATCH_SIZE = 10  # keyframes per global-update batch
+
 
 @dataclass
 class PeerInfo:
@@ -177,7 +183,7 @@ class SlamNode:
         self._broadcast(PayloadKind.DISCOVERY, DiscoveryPayload(self.session))
         self.clock.schedule(self.config.heartbeat_ms, self._heartbeat_tick,
                             productive=False)
-        self.clock.schedule(self.config.t_lmfreq_ms, self._lmfreq_tick,
+        self.clock.schedule(LOCAL_MAP_PERIOD_MS, self._lmfreq_tick,
                             productive=False)
         self.record("node_started", session=self.session)
 
@@ -194,7 +200,7 @@ class SlamNode:
                 and (self.state.dirty_kfs or self.state.dirty_mps)):
             self._publish_local_maps(self._last_mapped_kf)
         if not (self.clock.draining and not self.has_pending_work()):
-            self.clock.schedule(self.config.t_lmfreq_ms, self._lmfreq_tick,
+            self.clock.schedule(LOCAL_MAP_PERIOD_MS, self._lmfreq_tick,
                                 productive=False)
 
     # ------------------------------------------------------------------
@@ -202,7 +208,7 @@ class SlamNode:
 
     def _sweep_departed(self) -> None:
         now = self.clock.now_ms()
-        horizon = self.config.heartbeat_misses * self.config.heartbeat_ms
+        horizon = HEARTBEAT_MISSES * self.config.heartbeat_ms
         departed = [(r, now - info.last_heard_ms) for r, info in self.peers.items()
                     if now - info.last_heard_ms > horizon]
         for peer, silent_ms in sorted(departed, key=lambda item: item[0].value):
@@ -393,9 +399,7 @@ class SlamNode:
             self.prev_frame = frame
             return
 
-        tr = tracker.track_frame(m, self.last_pose, frame,
-                                 self.config.track_window,
-                                 self.config.min_track_matches)
+        tr = tracker.track_frame(m, self.last_pose, frame)
         if tr.status is TrackStatus.OK:
             self.last_pose = tr.pose
             self.frames_since_kf += 1
@@ -406,8 +410,7 @@ class SlamNode:
             rel = tr.pose.relative_to(m.keyframes[ref].pose)
             self.trajectory.append(TrajectorySample(frame.timestamp, ref, rel))
             if not self.state.paused and tracker.should_create_keyframe(
-                    tr, self.frames_since_kf, self.config.kf_min_gap_frames,
-                    self.config.kf_ref_ratio):
+                    tr, self.frames_since_kf):
                 self._spawn_keyframe(frame, tr, m)
         else:
             if not self.tracking_lost:
@@ -485,8 +488,7 @@ class SlamNode:
             init_pass = True
             self.record("initial_optimization", map=str(map_id))
         else:
-            dirty_kfs, dirty_mps = bundle.local_bundle_adjust(
-                m, kf_id, self.config.lba_covisible)
+            dirty_kfs, dirty_mps = bundle.local_bundle_adjust(m, kf_id)
             self.record("local_bundle_adjust", center=str(kf_id),
                         window=len(dirty_kfs))
         self.state.mark_dirty(dirty_kfs, dirty_mps)
@@ -517,7 +519,7 @@ class SlamNode:
         # backlog of dirty keyframes drains; dirt outside it stays put.
         batches = state_mod.collect_dirty(
             self.state, center, len(m.keyframes),
-            self.config.growth_schedule(), self._local_batch_seq, map_id,
+            LOCAL_BATCH_SIZES, self._local_batch_seq, map_id,
             set_init_optimized=set_init)
         if not batches:
             return
@@ -549,8 +551,7 @@ class SlamNode:
         kf = self.state.find_keyframe(kf_id)
         if kf is None:
             return
-        cand = loops.detect_loop_or_merge(self.state.slam, kf,
-                                          self.config.loop_tau)
+        cand = loops.detect_loop_or_merge(self.state.slam, kf)
         if cand is None:
             return
         self.record("loop_candidate", kind=cand.kind.value,
@@ -602,7 +603,7 @@ class SlamNode:
         mp_ids = [p for p in record.mp_ids if p in m.map_points]
         batches = state_mod.split_batches(
             m, batch_kind, epoch, 0, kf_ids, mp_ids,
-            [max(1, self.config.global_batch_size)], final=True,
+            [GLOBAL_BATCH_SIZE], final=True,
             fused=tuple(sorted(record.fused.items())),
             absorbed_map=record.absorbed_map, set_init_optimized=True)
         self._publish_spaced(Topic.MAP_GLOBAL, PayloadKind.MAP_BATCH, batches,
@@ -645,11 +646,18 @@ class SlamNode:
             self.map_queue.append(env)
         self._drain_queues()
 
-    def _handle_control(self, env: Envelope) -> None:
+    def _decode(self, env: Envelope):
+        """The payload, or None for one that does not decode (counted)."""
         try:
-            payload = decode_payload(env.kind, env.payload)
+            return decode_payload(env.kind, env.payload)
         except (TruncatedInput, ValueError, TypeError):
             self.metrics.decode_errors += 1
+            self.record("decode_error", topic=env.topic.label)
+            return None
+
+    def _handle_control(self, env: Envelope) -> None:
+        payload = self._decode(env)
+        if payload is None:
             return
         if env.kind is PayloadKind.DISCOVERY:
             self._on_discovery(env.sender, payload.session)
@@ -671,11 +679,8 @@ class SlamNode:
                 progress = True
 
     def _process_kf_envelope(self, env: Envelope) -> None:
-        try:
-            payload = decode_payload(env.kind, env.payload)
-        except (TruncatedInput, ValueError, TypeError):
-            self.metrics.decode_errors += 1
-            self.record("decode_error", topic=env.topic.label)
+        payload = self._decode(env)
+        if payload is None:
             return
         outcome = state_mod.apply_new_keyframe(self.state, payload)
         if outcome is not PromotionOutcome.DUPLICATE:
@@ -690,11 +695,8 @@ class SlamNode:
             self._loop_step(kf_id)
 
     def _process_map_envelope(self, env: Envelope) -> None:
-        try:
-            payload = decode_payload(env.kind, env.payload)
-        except (TruncatedInput, ValueError, TypeError):
-            self.metrics.decode_errors += 1
-            self.record("decode_error", topic=env.topic.label)
+        payload = self._decode(env)
+        if payload is None:
             return
 
         # Gateway duty: relay global traffic toward the tracking node.

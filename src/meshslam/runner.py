@@ -7,7 +7,7 @@ import random
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from meshslam.config import NodeConfig, TopologySpec, node_config_from_entries
+from meshslam.config import NodeConfig, TopologySpec
 from meshslam.evaluate import NoAssociation, TrajectoryRecord, evaluate_ate
 from meshslam.node import SlamNode
 from meshslam.policy import Role
@@ -54,14 +54,13 @@ def _safe_ate(est: TrajectoryRecord, gt: TrajectoryRecord) -> float | None:
         return None
 
 
-def run_centralized(spec: ScenarioSpec, config: NodeConfig | None = None
+def run_centralized(spec: ScenarioSpec, config: NodeConfig = NodeConfig()
                     ) -> RunResult:
     """Drive the whole pipeline in-process with no peers discovered.
 
     This is the oracle every distributed configuration is compared to:
     no simulator, no envelopes, every module step runs synchronously.
     """
-    config = config or NodeConfig()
     frames, gt = generate_scenario(spec)
     events: list[Event] = []
     clock = ManualClock()
@@ -92,13 +91,10 @@ def run_centralized(spec: ScenarioSpec, config: NodeConfig | None = None
 
 
 def run_distributed(spec: ScenarioSpec, topology: TopologySpec,
-                    config: NodeConfig | None = None,
                     t_end_ms: float | None = None) -> RunResult:
     """Simulated multi-node run: discovery, streaming, drain to quiescence."""
     if Role.TRACKING not in topology.roles:
         raise ValueError("topology must include the tracking role")
-    base = config or NodeConfig()
-    cfg = node_config_from_entries(topology.overrides, base)
 
     frames, gt = generate_scenario(spec)
     sim = Simulator(seed=spec.seed)
@@ -113,7 +109,8 @@ def run_distributed(spec: ScenarioSpec, topology: TopologySpec,
     nodes: dict[Role, SlamNode] = {}
     for role in roles:
         transports[role] = SimTransport(sim, role)
-        nodes[role] = SlamNode(role, cfg, transports[role], SimClock(sim, role),
+        nodes[role] = SlamNode(role, topology.config, transports[role],
+                               SimClock(sim, role),
                                session=session_rng.getrandbits(63),
                                recorder=recorder)
     for role in roles:

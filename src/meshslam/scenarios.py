@@ -207,24 +207,30 @@ def generate_scenario(spec: ScenarioSpec
 
 def scenario_from_file(path: str | Path, seed_override: int | None = None
                        ) -> ScenarioSpec:
+    """Scenario file of ``key = value`` lines. An absent key takes its
+    default; a key this function does not read raises ValueError."""
     entries = dict(parse_kv_file(path))
-    bbox = tuple(float(tok) for tok in entries.get("bbox", "-12 -12 12 12").split())
+    get = entries.pop  # each key read is removed; the rest are unknown
+    bbox = tuple(float(tok) for tok in get("bbox", "-12 -12 12 12").split())
     if len(bbox) != 4:
         raise ValueError("bbox needs 4 numbers: x0 y0 x1 y1")
-    seed = int(entries.get("seed", "0"))
+    seed = int(get("seed", "0"))
     if seed_override is not None:
         seed = seed_override
-    return ScenarioSpec(
-        trajectory=TrajectoryKind(entries.get("trajectory", "loop")),
-        n_frames=int(entries.get("n_frames", "400")),
-        landmark_count=int(entries.get("landmarks", "300")),
+    spec = ScenarioSpec(
+        trajectory=TrajectoryKind(get("trajectory", "loop")),
+        n_frames=int(get("n_frames", "400")),
+        landmark_count=int(get("landmarks", "300")),
         bbox=bbox,  # type: ignore[arg-type]
-        sensor_range=float(entries.get("sensor_range", "6.0")),
-        sigma_range=float(entries.get("sigma_range", "0.02")),
-        sigma_bearing=float(entries.get("sigma_bearing", "0.01")),
-        sigma_odometry=float(entries.get("sigma_odom", "0.005")),
+        sensor_range=float(get("sensor_range", "6.0")),
+        sigma_range=float(get("sigma_range", "0.02")),
+        sigma_bearing=float(get("sigma_bearing", "0.01")),
+        sigma_odometry=float(get("sigma_odom", "0.005")),
         seed=seed,
     )
+    if entries:
+        raise ValueError(f"unknown scenario key(s): {sorted(entries)}")
+    return spec
 
 
 def default_scenario(kind: TrajectoryKind, seed: int = 1,

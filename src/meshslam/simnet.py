@@ -74,7 +74,7 @@ class TrafficAccount:
 
 
 class _Event:
-    __slots__ = ("time", "prio", "seq", "fn", "productive", "cancelled")
+    __slots__ = ("time", "prio", "seq", "fn", "productive")
 
     def __init__(self, time: float, prio: int, seq: int, fn: Callable[[], None],
                  productive: bool):
@@ -83,7 +83,6 @@ class _Event:
         self.seq = seq
         self.fn = fn
         self.productive = productive
-        self.cancelled = False
 
     def __lt__(self, other: "_Event") -> bool:
         return (self.time, self.prio, self.seq) < (other.time, other.prio, other.seq)
@@ -91,6 +90,7 @@ class _Event:
 
 PRIO_FAULT = 0
 PRIO_NORMAL = 1
+MAX_RETRIES = 12  # drop draws a frame survives before it is lost
 
 
 @dataclass
@@ -116,7 +116,6 @@ class Simulator:
         self.account = TrafficAccount()
         self._last_delivery: dict[tuple[Role, Role], float] = {}
         self._held: dict[tuple[Role, Role], list[_HeldFrame]] = {}
-        self.max_retries = 12
 
         self.sent_frames = 0
         self.delivered_frames = 0
@@ -126,19 +125,12 @@ class Simulator:
     # -- scheduling ---------------------------------------------------
 
     def schedule(self, delay_ms: float, fn: Callable[[], None],
-                 prio: int = PRIO_NORMAL, productive: bool = True) -> _Event:
+                 prio: int = PRIO_NORMAL, productive: bool = True) -> None:
         ev = _Event(self.now + max(0.0, delay_ms), prio, self._seq, fn, productive)
         self._seq += 1
         if productive:
             self._productive_pending += 1
         heapq.heappush(self._heap, ev)
-        return ev
-
-    def cancel(self, ev: _Event) -> None:
-        if not ev.cancelled:
-            ev.cancelled = True
-            if ev.productive:
-                self._productive_pending -= 1
 
     @property
     def draining(self) -> bool:
@@ -174,7 +166,7 @@ class Simulator:
             retries = 0
             while self.rng.random() < link.drop_prob:
                 retries += 1
-                if retries > self.max_retries:
+                if retries > MAX_RETRIES:
                     self.dropped_frames += 1
                     return
                 delay += link.one_way_ms()
@@ -238,8 +230,6 @@ class Simulator:
                 self.now = t_end
                 break
             heapq.heappop(self._heap)
-            if ev.cancelled:
-                continue
             if ev.productive:
                 self._productive_pending -= 1
             self.now = ev.time

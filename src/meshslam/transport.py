@@ -36,7 +36,7 @@ class Clock(Protocol):
     def now_ms(self) -> float: ...
 
     def schedule(self, delay_ms: float, fn: Callable[[], None],
-                 productive: bool = True): ...
+                 productive: bool = True) -> None: ...
 
     @property
     def draining(self) -> bool: ...
@@ -103,13 +103,13 @@ class SimClock:
         return self.sim.now
 
     def schedule(self, delay_ms: float, fn: Callable[[], None],
-                 productive: bool = True):
+                 productive: bool = True) -> None:
         def guarded() -> None:
             if self.role in self.sim.crashed:
                 return
             fn()
 
-        return self.sim.schedule(delay_ms, guarded, productive=productive)
+        self.sim.schedule(delay_ms, guarded, productive=productive)
 
     @property
     def draining(self) -> bool:

@@ -15,6 +15,7 @@ from dataclasses import replace
 
 from meshslam.config import LinkProfile, NodeConfig, TopologySpec
 from meshslam.messages import PayloadKind, decode_payload
+from meshslam.node import HEARTBEAT_MISSES
 from meshslam.policy import DistributionDecision, Role, Route, decide
 from meshslam.runner import run_centralized, run_distributed
 from meshslam.scenarios import TrajectoryKind, default_scenario
@@ -45,14 +46,13 @@ def criterion(label: str):
 
 
 def three_node_topology(profile: LinkProfile | None = None,
-                        overrides: dict | None = None) -> TopologySpec:
-    topo = TopologySpec(roles=[TR, LM, LC])
+                        config: NodeConfig = NodeConfig()) -> TopologySpec:
+    topo = TopologySpec(roles=[TR, LM, LC], config=config)
     profile = profile or LinkProfile()
     for a in topo.roles:
         for b in topo.roles:
             if a != b:
                 topo.links[(a, b)] = profile
-    topo.overrides = dict(overrides or {})
     return topo
 
 
@@ -61,7 +61,7 @@ def zero_latency_topology() -> TopologySpec:
     # links and pacing timers both cost nothing.
     return three_node_topology(
         LinkProfile(0.0, 0.0, 0.0, 0.0),
-        {"local_batch_spacing_ms": "0", "global_batch_spacing_ms": "0"},
+        NodeConfig(local_batch_spacing_ms=0.0, global_batch_spacing_ms=0.0),
     )
 
 
@@ -145,7 +145,7 @@ def test_a4_eventual_consistency():
 def test_a5_failure_resilience(tmp_path):
     with criterion("A5 failure resilience: LM and LC crashes survive"):
         hb = NodeConfig().heartbeat_ms
-        misses = NodeConfig().heartbeat_misses
+        misses = HEARTBEAT_MISSES
         for victim in ("lm", "lc"):
             spec = default_scenario(TrajectoryKind.LOOP, seed=1)
             oracle = run_centralized(spec)

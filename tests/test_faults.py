@@ -1,6 +1,6 @@
 """Fault-injection scenarios beyond the acceptance minimum."""
 
-from meshslam.config import LinkProfile, TopologySpec
+from meshslam.config import LinkProfile, NodeConfig, TopologySpec
 from meshslam.policy import Role
 from meshslam.runner import run_centralized, run_distributed
 from meshslam.scenarios import TrajectoryKind, default_scenario
@@ -8,14 +8,13 @@ from meshslam.scenarios import TrajectoryKind, default_scenario
 TR, LM, LC = Role.TRACKING, Role.MAPPING, Role.LOOP
 
 
-def mesh(profile=None, overrides=None, fault_file=None):
-    topo = TopologySpec(roles=[TR, LM, LC])
+def mesh(profile=None, config=NodeConfig(), fault_file=None):
+    topo = TopologySpec(roles=[TR, LM, LC], config=config)
     if profile is not None:
         for a in topo.roles:
             for b in topo.roles:
                 if a != b:
                     topo.links[(a, b)] = profile
-    topo.overrides = dict(overrides or {})
     topo.fault_schedule = fault_file
     return topo
 
@@ -27,7 +26,7 @@ def test_partition_heals_and_staged_buffers_promote(tmp_path):
     mid = 1000.0 + 50.0 * (spec.n_frames // 2)
     faults = tmp_path / "faults.txt"
     faults.write_text(f"{mid} partition tr lm\n{mid + 2000} heal tr lm\n")
-    topo = mesh(overrides={"heartbeat_ms": "800"}, fault_file=str(faults))
+    topo = mesh(config=NodeConfig(heartbeat_ms=800.0), fault_file=str(faults))
     result = run_distributed(spec, topo)
     assert not result.metrics.diverged
     assert len(set(result.metrics.digests.values())) == 1
@@ -45,7 +44,7 @@ def test_partition_during_global_update_recovers(tmp_path):
     faults.write_text(
         f"{pauses[0] - 20.0} partition tr lm\n"
         f"{pauses[0] + 1500.0} heal tr lm\n")
-    topo = mesh(overrides={"heartbeat_ms": "800"}, fault_file=str(faults))
+    topo = mesh(config=NodeConfig(heartbeat_ms=800.0), fault_file=str(faults))
     result = run_distributed(spec, topo)
     assert not result.metrics.diverged
     for node in result.nodes.values():

@@ -1,3 +1,5 @@
+import pytest
+
 from meshslam.config import NodeConfig
 from meshslam.geometry import Pose2
 from meshslam.ids import KeyFrameId, MapId, mint_map_point_id
@@ -419,12 +421,18 @@ def test_rejoin_with_new_session_resets_sequences():
     assert any(n == "member_rejoined" for _, n, _ in rig.events)
 
 
-def test_malformed_payload_dropped_and_counted():
+@pytest.mark.parametrize("topic,kind", [
+    (Topic.KF_NEW, PayloadKind.NEW_KEYFRAME),
+    (Topic.MAP_LOCAL, PayloadKind.MAP_BATCH),
+    (Topic.DISCOVERY, PayloadKind.DISCOVERY),
+], ids=["KF_NEW", "MAP_LOCAL", "DISCOVERY"])
+def test_malformed_payload_dropped_and_counted(topic, kind):
     rig = Rig(LM)
     seed_map(rig.node, 1)
-    env = Envelope(Topic.KF_NEW, TR, 0, 0, PayloadKind.NEW_KEYFRAME, b"\x01")
-    rig.node.on_envelope(env)
+    rig.node.on_envelope(Envelope(topic, TR, 0, 0, kind, b"\x01"))
     assert rig.node.metrics.decode_errors == 1
+    errors = [d for _, n, d in rig.events if n == "decode_error"]
+    assert errors == [{"topic": topic.label}]
 
 
 def test_duplicate_join_announcement_is_idempotent():
