@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from typing import get_type_hints
 
@@ -35,6 +35,14 @@ class LinkProfile:
     t_proc_ms: float = 1.0
     jitter_ms: float = 2.0
     drop_prob: float = 0.0
+
+    def __post_init__(self) -> None:
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if not (math.isfinite(value) and value >= 0):
+                raise ValueError(f"{f.name} must be finite and >= 0: {value!r}")
+        if self.drop_prob > 1:
+            raise ValueError(f"drop_prob must be <= 1: {self.drop_prob!r}")
 
 
 @dataclass
@@ -105,12 +113,15 @@ def load_topology(path: str | Path) -> TopologySpec:
         parts = key.split()
         if key == "nodes":
             spec.roles = [Role.from_name(tok) for tok in value.split()]
+            if len(set(spec.roles)) != len(spec.roles):
+                raise ValueError(f"nodes names a role twice: {value!r}")
         elif parts[0] == "link" and len(parts) == 3:
             a, b = Role.from_name(parts[1]), Role.from_name(parts[2])
             nums = [float(tok) for tok in value.split()]
-            while len(nums) < 4:
-                nums.append(0.0)
-            profile = LinkProfile(nums[0], nums[1], nums[2], nums[3])
+            if len(nums) != 4:
+                raise ValueError(
+                    f"{key} needs 4 numbers (tp tproc jitter drop): {value!r}")
+            profile = LinkProfile(*nums)
             spec.links[(a, b)] = profile
             spec.links[(b, a)] = profile
         elif key == "fault_schedule":

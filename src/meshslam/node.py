@@ -86,7 +86,6 @@ class NodeMetrics:
     seq_gaps: int = 0
     keyframes_created: int = 0
     global_updates: int = 0
-    aborted_epochs: int = 0
 
 
 class SlamNode:
@@ -112,7 +111,6 @@ class SlamNode:
         self._topic_seq: dict[Topic, int] = {}
         self._emit_cursor: dict[Topic, float] = {}
         self._local_batch_seq = 0
-        self._epoch_sender: dict[int, Role] = {}
 
         # Tracking-side state.
         self.active_map_id: MapId | None = None
@@ -273,10 +271,7 @@ class SlamNode:
                        | set(self.state.pending_local))
         for epoch in stuck:
             self.state.staged_global.pop(epoch, None)
-            self.state.global_final_seq.pop(epoch, None)
             self.state.pending_local.pop(epoch, None)
-            self._epoch_sender.pop(epoch, None)
-            self.metrics.aborted_epochs += 1
             self.record("global_update_aborted", epoch=epoch,
                         departed=departed.value)
         self.state.paused = False
@@ -710,7 +705,6 @@ class SlamNode:
         if env.kind is PayloadKind.GLOBAL_UPDATE_START:
             was_paused = self.state.paused
             state_mod.observe_epoch(self.state, payload.epoch)
-            self._epoch_sender[payload.epoch] = env.sender
             if self.state.paused and not was_paused:
                 self.record("paused", epoch=payload.epoch)
             return
@@ -723,10 +717,9 @@ class SlamNode:
             self.record("stale_batch_discarded", epoch=payload.epoch)
             return
         self._touch()
-        if payload.kind is not BatchKind.LOCAL:
-            self._epoch_sender.setdefault(payload.epoch, env.sender)
-            if not was_paused and self.state.paused:
-                self.record("paused", epoch=payload.epoch)
+        if (payload.kind is not BatchKind.LOCAL
+                and not was_paused and self.state.paused):
+            self.record("paused", epoch=payload.epoch)
         self._confirm_mapped([u.kf_id for u in payload.kf_updates])
         if was_paused and not self.state.paused:
             self.record("unpaused", epoch=payload.epoch)

@@ -3,9 +3,11 @@
 The promoted tier (``slam``) only ever holds complete, internally
 consistent maps; everything else a node has heard about sits in staging
 buffers until its dependencies arrive. Staging plus promoted content
-together form the node's full knowledge. Conflicting updates resolve by
-highest batch sequence, stale-epoch batches are discarded, and global
-updates promote atomically only once every batch of the epoch is held.
+together form the node's full knowledge. Conflicting writes to a pose or
+a point position resolve to the highest ``(epoch, phase, seq)`` update key,
+whether the write came from a local batch, a global promotion or a staged
+replay; stale-epoch batches are discarded, and global updates promote
+atomically only once every batch of the epoch is held.
 """
 
 from __future__ import annotations
@@ -74,7 +76,6 @@ class SystemState:
     staged_mp_updates: dict[int, list[tuple[UpdateKey, WireMapPoint]]] = field(
         default_factory=dict)
     staged_global: dict[int, dict[int, MapBatch]] = field(default_factory=dict)
-    global_final_seq: dict[int, int] = field(default_factory=dict)
     pending_local: dict[int, list[MapBatch]] = field(default_factory=dict)
     globally_optimized: set[MapId] = field(default_factory=set)
     # Tombstones from point fusion and map merging: a message built before
@@ -83,14 +84,10 @@ class SystemState:
     fused_forward: dict[int, int] = field(default_factory=dict)
     absorbed_forward: dict[MapId, MapId] = field(default_factory=dict)
 
-    # Latest-writer bookkeeping and accounting.
+    # Latest-writer bookkeeping.
     applied_kf_seq: dict[KeyFrameId, UpdateKey] = field(default_factory=dict)
     applied_mp_seq: dict[int, UpdateKey] = field(default_factory=dict)
     kf_map_index: dict[KeyFrameId, MapId] = field(default_factory=dict)
-    counters: dict[str, int] = field(default_factory=dict)
-
-    def bump(self, key: str, n: int = 1) -> None:
-        self.counters[key] = self.counters.get(key, 0) + n
 
     def find_keyframe(self, kf_id: KeyFrameId) -> KeyFrame | None:
         map_id = self.kf_map_index.get(kf_id)
@@ -110,20 +107,6 @@ class SystemState:
     def mark_dirty(self, kf_ids, mp_ids) -> None:
         self.dirty_kfs |= set(kf_ids)
         self.dirty_mps |= set(mp_ids)
-
-    def accounting(self) -> dict[str, int]:
-        """Reconciliation view: staged buffer depths plus promoted sizes."""
-        return {
-            "promoted_maps": len(self.slam),
-            "promoted_kfs": sum(len(m.keyframes) for m in self.slam.values()),
-            "promoted_mps": sum(len(m.map_points) for m in self.slam.values()),
-            "staged_new_kfs": sum(len(v) for v in self.staged_kfs.values()),
-            "staged_kf_updates": sum(len(v) for v in self.staged_kf_updates.values()),
-            "staged_mp_updates": sum(len(v) for v in self.staged_mp_updates.values()),
-            "staged_global_batches": sum(len(v) for v in self.staged_global.values()),
-            "pending_local_batches": sum(len(v) for v in self.pending_local.values()),
-            **self.counters,
-        }
 
 
 def observe_epoch(state: SystemState, epoch: int) -> None:
@@ -223,12 +206,12 @@ def _insert_keyframe(state: SystemState, m: Map, payload: NewKeyFramePayload) ->
     waiting = state.staged_kf_updates.pop(kf.id, None)
     if waiting:
         key, upd = max(waiting, key=lambda item: item[0])
-        _apply_kf_update_now(state, kf, upd, key)
+        _update_pose(state, kf, upd, key)
     for mp in payload.new_points:
         waiting_mp = state.staged_mp_updates.pop(mp.mp_id, None)
         if waiting_mp and mp.mp_id in m.map_points:
             key, wmp = max(waiting_mp, key=lambda item: item[0])
-            _apply_mp_update_now(state, m, wmp, key)
+            _update_point(state, m.map_points[mp.mp_id], wmp, key)
 
 
 def apply_new_keyframe(state: SystemState, payload: NewKeyFramePayload
@@ -239,7 +222,6 @@ def apply_new_keyframe(state: SystemState, payload: NewKeyFramePayload
     whose map is unknown, or whose referenced points have not arrived
     yet, is buffered and retried as dependencies promote.
     """
-    state.bump("new_kf_received")
     kf_id = payload.keyframe.kf_id
     if state.find_keyframe(kf_id) is not None:
         return PromotionOutcome.DUPLICATE
@@ -293,50 +275,26 @@ def _drain_staged_keyframes(state: SystemState, map_id: MapId) -> None:
 _NEVER: UpdateKey = (-1, -1, -1)
 
 
-def _apply_kf_update_now(state: SystemState, kf: KeyFrame, upd: KeyFrameUpdate,
-                         key: UpdateKey) -> None:
-    if key <= state.applied_kf_seq.get(kf.id, _NEVER):
-        return
-    state.applied_kf_seq[kf.id] = key
-    kf.pose = upd.pose
-
-
-def apply_keyframe_update(state: SystemState, upd: KeyFrameUpdate,
-                          key: UpdateKey) -> PromotionOutcome:
-    """Overwrite a keyframe's changed parts, or stage until it exists.
-
-    Conflicts resolve to the highest update key (epoch, phase, batch
-    sequence); a stale key is reported as DUPLICATE and ignored.
-    """
-    kf = state.find_keyframe(upd.kf_id)
+def _update_pose(state: SystemState, kf: KeyFrame | None,
+                 upd: KeyFrameUpdate, key: UpdateKey) -> None:
+    """Write a keyframe pose if key is the newest seen for it; with no
+    keyframe yet, stage the update for replay at insertion."""
     if kf is None:
         state.staged_kf_updates.setdefault(upd.kf_id, []).append((key, upd))
-        return PromotionOutcome.STAGED
-    if key <= state.applied_kf_seq.get(kf.id, _NEVER):
-        return PromotionOutcome.DUPLICATE
-    _apply_kf_update_now(state, kf, upd, key)
-    return PromotionOutcome.PROMOTED
+    elif key > state.applied_kf_seq.get(kf.id, _NEVER):
+        state.applied_kf_seq[kf.id] = key
+        kf.pose = upd.pose
 
 
-def _apply_mp_update_now(state: SystemState, m: Map, wmp: WireMapPoint,
-                         key: UpdateKey) -> None:
-    if key <= state.applied_mp_seq.get(wmp.mp_id, _NEVER):
-        return
-    state.applied_mp_seq[wmp.mp_id] = key
-    mp = m.map_points[wmp.mp_id]
-    mp.x, mp.y = wmp.x, wmp.y
-
-
-def apply_map_point_update(state: SystemState, map_id: MapId, wmp: WireMapPoint,
-                           key: UpdateKey) -> PromotionOutcome:
-    m = state.slam.get(map_id)
-    if m is not None and wmp.mp_id in m.map_points:
-        if key <= state.applied_mp_seq.get(wmp.mp_id, _NEVER):
-            return PromotionOutcome.DUPLICATE
-        _apply_mp_update_now(state, m, wmp, key)
-        return PromotionOutcome.PROMOTED
-    state.staged_mp_updates.setdefault(wmp.mp_id, []).append((key, wmp))
-    return PromotionOutcome.STAGED
+def _update_point(state: SystemState, mp: MapPoint | None,
+                  wmp: WireMapPoint, key: UpdateKey) -> None:
+    """Write a point position if key is the newest seen for it; with no
+    point yet, stage the update for replay at insertion."""
+    if mp is None:
+        state.staged_mp_updates.setdefault(wmp.mp_id, []).append((key, wmp))
+    elif key > state.applied_mp_seq.get(wmp.mp_id, _NEVER):
+        state.applied_mp_seq[wmp.mp_id] = key
+        mp.x, mp.y = wmp.x, wmp.y
 
 
 def apply_map_batch(state: SystemState, batch: MapBatch) -> PromotionOutcome:
@@ -346,7 +304,6 @@ def apply_map_batch(state: SystemState, batch: MapBatch) -> PromotionOutcome:
     Raises EpochMismatch for batches of an epoch older than the current
     one (superseded data).
     """
-    state.bump("map_batches_received")
     if batch.kind is BatchKind.LOCAL:
         if batch.epoch < state.pause_epoch:
             raise EpochMismatch(
@@ -364,9 +321,7 @@ def apply_map_batch(state: SystemState, batch: MapBatch) -> PromotionOutcome:
     observe_epoch(state, batch.epoch)
     per_epoch = state.staged_global.setdefault(batch.epoch, {})
     per_epoch[batch.seq] = batch
-    if batch.final:
-        state.global_final_seq[batch.epoch] = batch.seq
-    final = state.global_final_seq.get(batch.epoch)
+    final = next((b.seq for b in per_epoch.values() if b.final), None)
     if final is not None and all(s in per_epoch for s in range(final + 1)):
         _promote_global(state, batch.epoch)
         return PromotionOutcome.PROMOTED
@@ -376,20 +331,19 @@ def apply_map_batch(state: SystemState, batch: MapBatch) -> PromotionOutcome:
 def _apply_local_batch(state: SystemState, batch: MapBatch) -> None:
     key = update_key(batch.epoch, PHASE_LOCAL, batch.seq)
     for upd in batch.kf_updates:
-        apply_keyframe_update(state, upd, key)
+        _update_pose(state, state.find_keyframe(upd.kf_id), upd, key)
+    m = state.slam.get(resolve_map_id(state, batch.map_id))
+    points = m.map_points if m is not None else {}
     for wmp in batch.mp_updates:
-        apply_map_point_update(state, batch.map_id, wmp, key)
-    if batch.set_init_optimized:
-        m = state.slam.get(batch.map_id)
-        if m is not None:
-            m.initialized_optimized = True
+        _update_point(state, points.get(wmp.mp_id), wmp, key)
+    if batch.set_init_optimized and m is not None:
+        m.initialized_optimized = True
 
 
 def _promote_global(state: SystemState, epoch: int) -> None:
     batches = [state.staged_global[epoch][s]
                for s in sorted(state.staged_global[epoch])]
     del state.staged_global[epoch]
-    state.global_final_seq.pop(epoch, None)
     head = batches[0]
     surviving = state.slam.get(head.map_id)
 
@@ -405,31 +359,19 @@ def _promote_global(state: SystemState, epoch: int) -> None:
         for b in batches:
             for dead, surv in b.fused:
                 fuse_map_points(surviving, dead, surv)
+    keyframes = surviving.keyframes if surviving is not None else {}
     for b in batches:
         key = update_key(epoch, PHASE_GLOBAL, b.seq)
+        # A keyframe (or whole map) still in flight stages its pose.
         for upd in b.kf_updates:
-            kf = surviving.keyframes.get(upd.kf_id) if surviving else None
-            if kf is None:
-                # Keyframe (or whole map) still in flight: remember the
-                # authoritative pose for replay at insertion time.
-                state.staged_kf_updates.setdefault(upd.kf_id, []).append(
-                    (key, upd))
-                continue
-            kf.pose = upd.pose
-            state.applied_kf_seq[kf.id] = max(
-                state.applied_kf_seq.get(kf.id, _NEVER), key)
+            _update_pose(state, keyframes.get(upd.kf_id), upd, key)
         for wmp in b.mp_updates:
             mp = surviving.map_points.get(wmp.mp_id) if surviving else None
             if mp is None and surviving is not None:
+                # The snapshot names a point the surviving map lacks.
                 mp = MapPoint(wmp.mp_id, wmp.x, wmp.y, wmp.landmark_id)
                 surviving.map_points[wmp.mp_id] = mp
-            if mp is None:
-                state.staged_mp_updates.setdefault(wmp.mp_id, []).append(
-                    (key, wmp))
-                continue
-            mp.x, mp.y = wmp.x, wmp.y
-            state.applied_mp_seq[wmp.mp_id] = max(
-                state.applied_mp_seq.get(wmp.mp_id, _NEVER), key)
+            _update_point(state, mp, wmp, key)
     state.globally_optimized.add(head.map_id)
     if surviving is not None:
         surviving.initialized_optimized = True
@@ -439,7 +381,6 @@ def _promote_global(state: SystemState, epoch: int) -> None:
         covis.rebuild_covisibility(surviving)
 
     state.paused = False
-    state.bump("global_promotions")
 
     # Local batches that raced ahead of this promotion apply now, and
     # keyframes buffered against re-homed or fused entities get retried.

@@ -3,7 +3,12 @@ from pathlib import Path
 
 import pytest
 
-from meshslam.config import NodeConfig, load_topology, node_config_from_entries
+from meshslam.config import (
+    LinkProfile,
+    NodeConfig,
+    load_topology,
+    node_config_from_entries,
+)
 from meshslam.policy import Role
 from meshslam.scenarios import scenario_from_file
 
@@ -77,6 +82,32 @@ def test_topology_with_bad_node_config_fails_at_load(tmp_path, line, field):
     path.write_text(f"nodes = tr lm lc\n{line}\n")
     with pytest.raises(ValueError, match=field):
         load_topology(path)
+
+
+@pytest.mark.parametrize("line,match", [
+    ("nodes = tr lm lm", "twice"),
+    ("link tr lm = 5 1 2 0 0.7", "4 numbers"),
+    ("link lm lc = 5", "4 numbers"),
+])
+def test_topology_with_a_loose_node_or_link_line_fails_at_load(tmp_path, line,
+                                                                match):
+    path = tmp_path / "mesh.topology"
+    path.write_text(f"nodes = tr lm lc\n{line}\n")
+    with pytest.raises(ValueError, match=match):
+        load_topology(path)
+
+
+@pytest.mark.parametrize("name,value", [
+    ("t_p_ms", -1.0), ("t_proc_ms", float("nan")), ("jitter_ms", float("inf")),
+    ("drop_prob", -0.1), ("drop_prob", 1.01),
+])
+def test_link_profile_out_of_range_raises_naming_the_field(name, value):
+    with pytest.raises(ValueError, match=name):
+        LinkProfile(**{name: value})
+
+
+def test_link_profile_accepts_its_bounds():
+    assert LinkProfile(0.0, 0.0, 0.0, 1.0).drop_prob == 1.0
 
 
 def test_scenario_file_rejects_a_key_it_does_not_read(tmp_path):

@@ -17,3 +17,28 @@ def test_library_has_no_assert_statements():
         found += [f"{path.relative_to(SRC)}:{node.lineno}"
                   for node in ast.walk(tree) if isinstance(node, ast.Assert)]
     assert found == []
+
+
+def _stored_attribute(node):
+    """The name of the attribute a node writes into, or None."""
+    if isinstance(node, ast.Attribute) and not isinstance(node.ctx, ast.Load):
+        return node.attr
+    if isinstance(node, ast.Subscript) and not isinstance(node.ctx, ast.Load):
+        node = node.value
+    elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+          and node.func.attr in {"setdefault", "update", "pop", "clear"}):
+        node = node.func.value
+    else:
+        return None
+    return node.attr if isinstance(node, ast.Attribute) else None
+
+
+def test_only_the_latest_writer_helpers_store_applied_keys():
+    # A pose or point write that bypasses _update_pose/_update_point skips
+    # the newest-key check, and then delivery order changes the state.
+    tree = ast.parse((SRC / "state.py").read_text())
+    writers = {func.name
+               for func in ast.walk(tree) if isinstance(func, ast.FunctionDef)
+               for node in ast.walk(func)
+               if _stored_attribute(node) in {"applied_kf_seq", "applied_mp_seq"}}
+    assert writers == {"_update_pose", "_update_point"}

@@ -17,36 +17,29 @@ from meshslam.messages import (
     WireObservation,
 )
 from meshslam.state import (
-    PHASE_LOCAL,
     DanglingReference,
     EpochMismatch,
     PromotionOutcome,
     SystemState,
-    apply_keyframe_update,
     apply_map_batch,
     apply_new_keyframe,
     canonical_bytes,
     canonical_digest,
     collect_dirty,
     observe_epoch,
-    update_key,
 )
 from meshslam.state import _insert_keyframe
-
-
-def lkey(seq, epoch=0):
-    return update_key(epoch, PHASE_LOCAL, seq)
 
 MAP = MapId(1, 0)
 
 
-def kf_payload(seq, mp_ids, new=None, origin=False, pose=None):
+def kf_payload(seq, mp_ids, new=None, origin=False, pose=None, map_id=MAP):
     kid = KeyFrameId(1, seq)
     obs = tuple(WireObservation(m, i, 1.0 + i, 0.1) for i, m in enumerate(mp_ids))
     new_points = tuple(WireMapPoint(m, float(i), 0.0, 1000 + i)
                        for i, m in enumerate(new or []))
     return NewKeyFramePayload(
-        MAP, origin, False,
+        map_id, origin, False,
         WireKeyFrame(kid, pose or Pose2(seq * 0.5, 0, 0), len(mp_ids), obs),
         new_points,
     )
@@ -114,25 +107,23 @@ def test_insertion_refuses_a_dangling_observation():
 def test_keyframe_update_applies_or_stages():
     st = SystemState()
     apply_new_keyframe(st, kf_payload(0, [mp(0)], new=[mp(0)], origin=True))
-    upd = KeyFrameUpdate(KeyFrameId(1, 0), Pose2(9.0, 9.0, 0.5))
-    assert apply_keyframe_update(st, upd, lkey(1)) is PromotionOutcome.PROMOTED
+    apply_map_batch(st, local_batch(1, [(KeyFrameId(1, 0), Pose2(9.0, 9.0, 0.5))]))
     assert st.slam[MAP].keyframes[KeyFrameId(1, 0)].pose.x == 9.0
 
-    early = KeyFrameUpdate(KeyFrameId(1, 7), Pose2(1, 1, 0))
-    assert apply_keyframe_update(st, early, lkey(2)) is PromotionOutcome.STAGED
+    apply_map_batch(st, local_batch(2, [(KeyFrameId(1, 7), Pose2(1, 1, 0))]))
+    assert KeyFrameId(1, 7) in st.staged_kf_updates
     assert apply_new_keyframe(
         st, kf_payload(7, [mp(0)])) is PromotionOutcome.PROMOTED
     assert st.slam[MAP].keyframes[KeyFrameId(1, 7)].pose.x == 1.0
+    assert not st.staged_kf_updates
 
 
 def test_conflicting_updates_resolve_by_sequence():
     st = SystemState()
     apply_new_keyframe(st, kf_payload(0, [mp(0)], new=[mp(0)], origin=True))
     kid = KeyFrameId(1, 0)
-    assert apply_keyframe_update(
-        st, KeyFrameUpdate(kid, Pose2(4, 0, 0)), lkey(4)) is PromotionOutcome.PROMOTED
-    assert apply_keyframe_update(
-        st, KeyFrameUpdate(kid, Pose2(3, 0, 0)), lkey(3)) is PromotionOutcome.DUPLICATE
+    apply_map_batch(st, local_batch(4, [(kid, Pose2(4, 0, 0))]))
+    apply_map_batch(st, local_batch(3, [(kid, Pose2(3, 0, 0))]))
     assert st.slam[MAP].keyframes[kid].pose.x == 4.0
 
 
@@ -351,13 +342,39 @@ def test_canonical_bytes_match_the_field_by_field_form(pose, edge):
         _reference_canonical_bytes(state), digest_size=16).hexdigest()
 
 
-def test_superset_accounting_reconciles():
-    st = SystemState()
-    apply_new_keyframe(st, kf_payload(0, [mp(0)], new=[mp(0)], origin=True))
-    apply_new_keyframe(st, kf_payload(2, [mp(5)]))  # unresolved: stays staged
-    acct = st.accounting()
-    assert acct["new_kf_received"] == 2
-    assert acct["promoted_kfs"] + acct["staged_new_kfs"] == 2
+def test_local_batch_naming_an_absorbed_map_applies_in_every_order():
+    other = MapId(1, 1)
+    kf_a, kf_b, point = KeyFrameId(1, 0), KeyFrameId(1, 10), mp(10)
+    merge = MapBatch(
+        BatchKind.MM, MAP, 1, 0, True,
+        (KeyFrameUpdate(kf_a, Pose2(0, 1, 0)), KeyFrameUpdate(kf_b, Pose2(3, 1, 0))),
+        (WireMapPoint(point, 5.0, 0.0, 1000),), absorbed_map=other)
+    local = MapBatch(BatchKind.LOCAL, other, 1, 0, False,
+                     (KeyFrameUpdate(kf_b, Pose2(7, 0, 0)),),
+                     (WireMapPoint(point, 9.0, 0.0, 1000),))
+    orders = {
+        "merge, local": [merge, local],
+        "local, merge": [local, merge],
+        "epoch seen, local, merge": [1, local, merge],
+    }
+    digests = set()
+    for name, order in orders.items():
+        st = SystemState()
+        apply_new_keyframe(st, kf_payload(0, [mp(0)], new=[mp(0)], origin=True))
+        apply_new_keyframe(st, kf_payload(10, [point], new=[point], origin=True,
+                                          map_id=other))
+        for msg in order:
+            if isinstance(msg, int):
+                observe_epoch(st, msg)
+            else:
+                apply_map_batch(st, msg)
+        m = st.slam[MAP]
+        assert list(st.slam) == [MAP], name
+        assert m.keyframes[kf_b].pose.x == 7.0, name
+        assert m.map_points[point].x == 9.0, name
+        assert not st.staged_kf_updates and not st.staged_mp_updates, name
+        digests.add(canonical_digest(st))
+    assert len(digests) == 1
 
 
 def _delivery_messages():
@@ -367,7 +384,8 @@ def _delivery_messages():
               kf_payload(2, [mp(1), mp(2)], new=[mp(2)])]
     link_b = [local_batch(0, [(KeyFrameId(1, 0), Pose2(0, 2, 0))]),
               local_batch(1, [(KeyFrameId(1, 1), Pose2(1, 2, 0)),
-                              (KeyFrameId(1, 2), Pose2(2, 2, 0))])]
+                              (KeyFrameId(1, 2), Pose2(2, 2, 0))]),
+              local_batch(2, [(KeyFrameId(1, 1), Pose2(7, 2, 0))], epoch=1)]
     link_c = global_batches(epoch=1, n_kfs=3, size=2)
     return link_a, link_b, link_c
 
@@ -434,7 +452,8 @@ def message_history(draw):
         targets = draw(st.lists(st.integers(0, n_kfs - 1), min_size=1,
                                 max_size=3, unique=True))
         local_msgs.append(local_batch(
-            seq, [(KeyFrameId(1, t), Pose2(20.0 + seq, t, 0)) for t in targets]))
+            seq, [(KeyFrameId(1, t), Pose2(20.0 + seq, t, 0)) for t in targets],
+            epoch=draw(st.integers(0, 1))))
 
     global_msgs = []
     if draw(st.booleans()):
