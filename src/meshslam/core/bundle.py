@@ -3,15 +3,24 @@
 Local adjustment optimizes a covisibility window around a center
 keyframe; global adjustment optimizes a whole map. Both minimize squared
 range-bearing residuals with a step-halving line search, so accepted
-iterations never increase cost. A failed Cholesky factorization on the
-first iteration reports a singular system and leaves the map intact.
+iterations never increase cost. A first iteration whose point blocks or
+reduced system are not positive definite reports a singular system and
+leaves the map intact.
 
 A problem is gathered from the map once, in one pass over its free map
-points, into flat per-residual arrays; the destination of every entry of
-the normal equations is computed then too. Each iteration forms the
-per-observation 2x5 Jacobian blocks as arrays and sums them into a dense
-J^T J and J^T r with ``np.bincount``, which adds in index order, and the
-dense system is solved through its Cholesky factor.
+points, into flat per-residual arrays. An observation whose observer
+stands closer than ``MIN_BA_RANGE`` to its point is left out, since its
+bearing Jacobian grows as the inverse of that distance, and a free point
+left with no observation is not a variable. Each iteration writes the
+products of every observation's 2x5 Jacobian block in closed form and
+sums them with ``np.bincount``, which adds in index order, into 3x3 pose
+blocks U, 2x2 point blocks V, one 3x2 pose-point block W per
+observation by a free keyframe, and the two gradient halves. The step
+eliminates the points (Triggs et al., "Bundle Adjustment - A Modern
+Synthesis", 1999, section 6): each V is inverted in closed form, the
+reduced pose system S = U - W V^-1 W^T is summed over every pair of free
+observations sharing a point (pairs indexed at gather time), only S is
+Cholesky-factorized, and the point steps follow by back-substitution.
 """
 
 from __future__ import annotations
@@ -30,34 +39,37 @@ LBA_COVISIBLE = 5  # strongest covisible keyframes in a local window
 GBA_MAX_ITERS = 20
 REL_TOL = 1e-6
 MAX_HALVINGS = 12
+MIN_BA_RANGE = 1e-3  # m; a nearer observation is left out of the problem
 
 
 class _Problem:
-    """Packed variables and observation index arrays for one adjustment.
+    """Packed variables, observation arrays and block indices for one
+    adjustment.
 
-    Variables: 3 per free keyframe pose then 2 per free map point.
-    Residuals: every observation of a free map point, by free or fixed
-    (anchor) keyframes, in deterministic (map point, observer) order.
+    Variables: 3 per free keyframe pose then 2 per free map point that
+    keeps an observation. Residuals: every observation of a free map
+    point, by free or fixed (anchor) keyframes, in deterministic (map
+    point, observer) order, except those closer than MIN_BA_RANGE.
     """
 
     def __init__(self, m: Map, free_kfs: list[KeyFrameId], free_mps: list[int]):
         self.map = m
         self.free_kfs = free_kfs
-        self.free_mps = free_mps
-        self.kf_index = {kid: 3 * i for i, kid in enumerate(free_kfs)}
-        base = 3 * len(free_kfs)
-        self.mp_index = {mid: base + 2 * i for i, mid in enumerate(free_mps)}
-        self.n_vars = base + 2 * len(free_mps)
+        n_kfs = len(free_kfs)
+        kf_slot = {kid: i for i, kid in enumerate(free_kfs)}
 
-        # One row per residual pair: (kf column or -1, point column,
-        # observer pose x, y, theta, range, bearing).
+        # One row per residual pair: (kf slot or -1, point slot, observer
+        # pose x, y, theta, range, bearing).
         rows: list[tuple] = []
         append = rows.append
         keyframes_get = m.keyframes.get
-        kf_index_get = self.kf_index.get
+        kf_slot_get = kf_slot.get
+        kept: list[int] = []
         for mid in free_mps:
-            mp_col = self.mp_index[mid]
-            for kid in sorted(m.map_points[mid].observers):
+            mp = m.map_points[mid]
+            slot = len(kept)
+            n_before = len(rows)
+            for kid in sorted(mp.observers):
                 kf = keyframes_get(kid)
                 if kf is None:
                     continue
@@ -65,40 +77,62 @@ class _Problem:
                 if o is None:
                     continue
                 p = kf.pose
-                append((kf_index_get(kid, -1), mp_col, p.x, p.y, p.theta,
+                if math.hypot(mp.x - p.x, mp.y - p.y) < MIN_BA_RANGE:
+                    continue
+                append((kf_slot_get(kid, -1), slot, p.x, p.y, p.theta,
                         o.range, o.bearing))
+            if len(rows) > n_before:
+                kept.append(mid)
+        self.free_mps = kept
+        n_mps = len(kept)
+        self.n_vars = 3 * n_kfs + 2 * n_mps
 
         self.n_obs = len(rows)
         table = np.array(rows, dtype=float).reshape(self.n_obs, 7).T
-        self.kf_col = table[0].astype(int)
-        self.mp_col = table[1].astype(int)
-        self.free_mask = self.kf_col >= 0
+        self.kf_slot = table[0].astype(int)
+        self.mp_slot = table[1].astype(int)
+        self.free_mask = self.kf_slot >= 0
         self.any_free = bool(self.free_mask.any())
-        # The gather index of _geometry: fixed rows read column 0 and are
+        # The gather index of _geometry: fixed rows read slot 0 and are
         # then replaced by their own pose.
-        self._safe_col = np.where(self.free_mask, self.kf_col, 0)
+        self._kf_col = 3 * np.where(self.free_mask, self.kf_slot, 0)
+        self._mp_col = 3 * n_kfs + 2 * self.mp_slot
         self.fixed_x = np.where(self.free_mask, 0.0, table[2])
         self.fixed_y = np.where(self.free_mask, 0.0, table[3])
         self.fixed_t = np.where(self.free_mask, 0.0, table[4])
         self.obs_range = table[5].copy()
         self.obs_bearing = table[6].copy()
 
-        # Where each 2x5 Jacobian block lands: columns [kf.x, kf.y,
-        # kf.theta, mp.x, mp.y]. A fixed observer's pose columns point at
-        # 0 and carry zeroed entries, which accumulate harmlessly.
-        cols = np.empty((self.n_obs, 5), dtype=int)
-        cols[:, 0] = self.kf_col
-        cols[:, 1] = self.kf_col + 1
-        cols[:, 2] = self.kf_col + 2
-        cols[:, 3] = self.mp_col
-        cols[:, 4] = self.mp_col + 1
-        self.fixed_mask = ~self.free_mask
-        self.any_fixed = bool(self.fixed_mask.any())
-        if self.any_fixed:
-            cols[self.fixed_mask, 0:3] = 0
-        nv = self.n_vars
-        self._jtr_index = cols.ravel()
-        self._jtj_index = (cols[:, :, None] * nv + cols[:, None, :]).ravel()
+        # Rows observed by a free keyframe, with their slots. Rows come in
+        # point order, so the free rows of one point are contiguous.
+        self.free_rows = np.flatnonzero(self.free_mask)
+        self.free_kf = self.kf_slot[self.free_rows]
+        self.free_mp = self.mp_slot[self.free_rows]
+        n_free = len(self.free_rows)
+
+        self._rows_per_kf = np.bincount(self.free_kf,
+                                        minlength=n_kfs).astype(float)
+        # Where the step's per-row pose and point terms land when summed.
+        self._g_kf_index = (3 * self.free_kf[:, None] + np.arange(3)).ravel()
+        self._free_g_mp_index = (2 * self.free_mp[:, None]
+                                 + np.arange(2)).ravel()
+
+        # Every ordered pair (a, b) of free rows that share a point: row a
+        # is repeated once per free row of its point, and b runs over
+        # those rows. The pair's 3x3 block of W_a V^-1 W_b^T lands in S
+        # at (pose a, pose b).
+        per_point = np.bincount(self.free_mp, minlength=n_mps)
+        first = np.cumsum(per_point) - per_point
+        group = per_point[self.free_mp]
+        self._pair_a = np.repeat(np.arange(n_free), group)
+        n_pairs = len(self._pair_a)
+        rank = np.arange(n_pairs) - np.repeat(np.cumsum(group) - group, group)
+        self._pair_b = np.repeat(first[self.free_mp], group) + rank
+        side = 3 * n_kfs
+        row = (3 * self.free_kf[self._pair_a][:, None, None]
+               + np.arange(3)[:, None])
+        col = 3 * self.free_kf[self._pair_b][:, None, None] + np.arange(3)
+        self._s_index = (row * side + col).ravel()
 
     def pack(self) -> np.ndarray:
         values: list[float] = []
@@ -126,77 +160,148 @@ class _Problem:
 
     def _geometry(self, x: np.ndarray):
         if self.any_free:
-            safe = self._safe_col
-            kx = np.where(self.free_mask, x[safe], self.fixed_x)
-            ky = np.where(self.free_mask, x[safe + 1], self.fixed_y)
-            kt = np.where(self.free_mask, x[safe + 2], self.fixed_t)
+            col = self._kf_col
+            kx = np.where(self.free_mask, x[col], self.fixed_x)
+            ky = np.where(self.free_mask, x[col + 1], self.fixed_y)
+            kt = np.where(self.free_mask, x[col + 2], self.fixed_t)
         else:
             kx, ky, kt = self.fixed_x, self.fixed_y, self.fixed_t
-        px = x[self.mp_col]
-        py = x[self.mp_col + 1]
+        px = x[self._mp_col]
+        py = x[self._mp_col + 1]
         dx = px - kx
         dy = py - ky
         q = dx * dx + dy * dy
         return dx, dy, q, np.sqrt(q), kt
 
+    def _residual_pairs(self, dx, dy, r, kt) -> np.ndarray:
+        """(range, bearing) residual per observation, shape (n_obs, 2)."""
+        res = np.empty((self.n_obs, 2))
+        res[:, 0] = r - self.obs_range
+        bearing = np.arctan2(dy, dx) - kt - self.obs_bearing
+        res[:, 1] = np.mod(bearing + np.pi, 2.0 * np.pi) - np.pi
+        return res
+
     def residuals(self, x: np.ndarray) -> np.ndarray:
         dx, dy, q, r, kt = self._geometry(x)
-        res = np.empty(2 * self.n_obs)
-        res[0::2] = r - self.obs_range
-        bearing = np.arctan2(dy, dx) - kt - self.obs_bearing
-        res[1::2] = np.mod(bearing + np.pi, 2.0 * np.pi) - np.pi
-        return res
+        return self._residual_pairs(dx, dy, r, kt).ravel()
 
     def cost(self, x: np.ndarray) -> float:
         res = self.residuals(x)
         return float(res @ res)
 
-    def normal_equations(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Assemble J^T J and J^T r from per-observation 2x5 blocks."""
-        dx, dy, q, r, kt = self._geometry(x)
-        res_r = r - self.obs_range
-        bearing = np.arctan2(dy, dx) - kt - self.obs_bearing
-        res_b = np.mod(bearing + np.pi, 2.0 * np.pi) - np.pi
+    def blocks(self, x: np.ndarray):
+        """The normal equations in blocks: U (F, 3, 3), V (P, 2, 2), W
+        (one 3x2 per free row), and the gradient halves J^T r of poses
+        (F, 3) and points (P, 2).
 
-        n = self.n_obs
+        An observation's residual has the Jacobian J_mp = [[a, b], [-c, d]]
+        in its point, with (a, b) = (dx, dy) / r and (c, d) = (dy, dx) / r^2,
+        and J_kf = [[-a, -b, 0], [c, -d, -1]] in its observer's pose. So
+        every block entry is an entry of J_mp^T J_mp or J_mp^T r, or c, d or
+        the bearing residual, up to sign.
+        """
+        dx, dy, q, r, kt = self._geometry(x)
+        res = self._residual_pairs(dx, dy, r, kt)
         inv_r = 1.0 / r
         inv_q = 1.0 / q
-
-        # Block columns: [kf.x, kf.y, kf.theta, mp.x, mp.y]
-        blocks = np.zeros((n, 2, 5))
-        blocks[:, 0, 0] = -dx * inv_r
-        blocks[:, 0, 1] = -dy * inv_r
-        blocks[:, 0, 3] = dx * inv_r
-        blocks[:, 0, 4] = dy * inv_r
-        blocks[:, 1, 0] = dy * inv_q
-        blocks[:, 1, 1] = -dx * inv_q
-        blocks[:, 1, 2] = -1.0
-        blocks[:, 1, 3] = -dy * inv_q
-        blocks[:, 1, 4] = dx * inv_q
-
-        if self.any_fixed:
-            blocks[self.fixed_mask, :, 0:3] = 0.0
-
-        jtj_blocks = np.einsum("nij,nik->njk", blocks, blocks)
-        r2 = np.stack([res_r, res_b], axis=1)
-        jtr_blocks = np.einsum("nij,ni->nj", blocks, r2)
+        a, b = dx * inv_r, dy * inv_r
+        c, d = dy * inv_q, dx * inv_q
+        v00 = a * a + c * c
+        v01 = a * b - c * d
+        v11 = b * b + d * d
+        g0 = a * res[:, 0] - c * res[:, 1]
+        g1 = b * res[:, 0] + d * res[:, 1]
 
         # bincount adds its weights in index order, one after another from
         # zero, so each entry sums the same terms in the same order as a
         # per-observation scatter-add would.
-        nv = self.n_vars
-        jtj = np.bincount(self._jtj_index, weights=jtj_blocks.ravel(),
-                          minlength=nv * nv).reshape(nv, nv)
-        jtr = np.bincount(self._jtr_index, weights=jtr_blocks.ravel(),
-                          minlength=nv)
-        return jtj, jtr
+        n_kfs, n_mps = len(self.free_kfs), len(self.free_mps)
+        free = self.free_rows
+
+        def per_point(values):
+            return np.bincount(self.mp_slot, weights=values, minlength=n_mps)
+
+        def per_pose(values):
+            return np.bincount(self.free_kf, weights=values[free],
+                               minlength=n_kfs)
+
+        v = np.empty((n_mps, 2, 2))
+        v[:, 0, 0] = per_point(v00)
+        v[:, 0, 1] = v[:, 1, 0] = per_point(v01)
+        v[:, 1, 1] = per_point(v11)
+        g_mp = np.stack([per_point(g0), per_point(g1)], axis=1)
+
+        u = np.empty((n_kfs, 3, 3))
+        u[:, 0, 0] = per_pose(v00)
+        u[:, 0, 1] = u[:, 1, 0] = per_pose(v01)
+        u[:, 1, 1] = per_pose(v11)
+        u[:, 0, 2] = u[:, 2, 0] = -per_pose(c)
+        u[:, 1, 2] = u[:, 2, 1] = per_pose(d)
+        u[:, 2, 2] = self._rows_per_kf
+        g_kf = -np.stack([per_pose(g0), per_pose(g1), per_pose(res[:, 1])],
+                         axis=1)
+
+        w = np.empty((len(free), 3, 2))
+        w[:, 0, 0] = -v00[free]
+        w[:, 0, 1] = w[:, 1, 0] = -v01[free]
+        w[:, 1, 1] = -v11[free]
+        w[:, 2, 0] = c[free]
+        w[:, 2, 1] = -d[free]
+        return u, v, w, g_kf, g_mp
+
+    def step(self, x: np.ndarray) -> np.ndarray:
+        """The Gauss-Newton step, with the points eliminated.
+
+        Raises np.linalg.LinAlgError when a point block or the reduced
+        pose system is not positive definite.
+        """
+        u, v, w, g_kf, g_mp = self.blocks(x)
+        v00, v01, v11 = v[:, 0, 0], v[:, 0, 1], v[:, 1, 1]
+        det = v00 * v11 - v01 * v01
+        if not ((v00 > 0.0) & (det > 0.0)).all():
+            raise np.linalg.LinAlgError("point block not positive definite")
+        i00, i01, i11 = v11 / det, -v01 / det, v00 / det
+
+        # Reduced system S d_kf = W V^-1 g_mp - g_kf, with
+        # S = U - W V^-1 W^T summed pair by pair.
+        at = self.free_mp
+        wv = np.empty_like(w)
+        wv[:, :, 0] = w[:, :, 0] * i00[at, None] + w[:, :, 1] * i01[at, None]
+        wv[:, :, 1] = w[:, :, 0] * i01[at, None] + w[:, :, 1] * i11[at, None]
+        wv_a, w_b = wv[self._pair_a], w[self._pair_b]
+        pairs = (wv_a[:, :, None, 0] * w_b[:, None, :, 0]
+                 + wv_a[:, :, None, 1] * w_b[:, None, :, 1])
+        n_kfs = len(self.free_kfs)
+        side = 3 * n_kfs
+        s = np.zeros((n_kfs, 3, n_kfs, 3))
+        diag = np.arange(n_kfs)
+        s[diag, :, diag, :] = u
+        s = s.reshape(side, side) - np.bincount(
+            self._s_index, weights=pairs.ravel(),
+            minlength=side * side).reshape(side, side)
+        g_at = g_mp[at]
+        wv_g = wv[:, :, 0] * g_at[:, 0, None] + wv[:, :, 1] * g_at[:, 1, None]
+        rhs = np.bincount(self._g_kf_index, weights=wv_g.ravel(),
+                          minlength=side) - g_kf.ravel()
+        ell = np.linalg.cholesky(s)
+        d_kf = np.linalg.solve(ell.T, np.linalg.solve(ell, rhs))
+
+        # Back-substitution, point by point: V d_mp = -(g_mp + W^T d_kf).
+        d_at = d_kf.reshape(n_kfs, 3)[self.free_kf]
+        wt_d = (w[:, 0, :] * d_at[:, 0, None] + w[:, 1, :] * d_at[:, 1, None]
+                + w[:, 2, :] * d_at[:, 2, None])
+        h = g_mp + np.bincount(self._free_g_mp_index, weights=wt_d.ravel(),
+                               minlength=g_mp.size).reshape(g_mp.shape)
+        d_mp = np.stack([i00 * h[:, 0] + i01 * h[:, 1],
+                         i01 * h[:, 0] + i11 * h[:, 1]], axis=1)
+        return np.concatenate([d_kf, -d_mp.ravel()])
 
 
 def _solve(problem: _Problem, max_iters: int) -> None:
     """Run Gauss-Newton to convergence or the iteration cap.
 
-    Raises SingularSystem (state untouched) when the first normal system
-    cannot be factorized.
+    Raises SingularSystem (state untouched) when the first step cannot be
+    factorized.
     """
     if problem.n_vars == 0:
         return
@@ -207,15 +312,12 @@ def _solve(problem: _Problem, max_iters: int) -> None:
     if cost == 0.0:
         return
     for it in range(max_iters):
-        jtj, jtr = problem.normal_equations(x)
         try:
-            ell = np.linalg.cholesky(jtj)
+            delta = problem.step(x)
         except np.linalg.LinAlgError:
             if it == 0:
                 raise SingularSystem("rank-deficient normal equations") from None
             break
-        z = np.linalg.solve(ell, -jtr)
-        delta = np.linalg.solve(ell.T, z)
         step = 1.0
         new_cost = problem.cost(x + delta)
         halvings = 0

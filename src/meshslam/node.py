@@ -33,6 +33,7 @@ from meshslam.core.types import (
     InsufficientParallax,
     KeyFrame,
     Map,
+    SingularSystem,
     TrackStatus,
 )
 from meshslam.geometry import Pose2
@@ -474,16 +475,25 @@ class SlamNode:
         if m is None or kf_id not in m.keyframes:
             return
         self._last_mapped_kf = kf_id
-        init_pass = False
-        if not m.initialized_optimized:
-            if kf_id == m.origin_kf or len(m.keyframes) < 2:
-                self._forward_to_loop(m, kf_id)
-                return
-            dirty_kfs, dirty_mps = bundle.global_bundle_adjust(m)
-            init_pass = True
+        init_pass = not m.initialized_optimized
+        if init_pass and (kf_id == m.origin_kf or len(m.keyframes) < 2):
+            self._forward_to_loop(m, kf_id)
+            return
+        # A singular adjustment leaves the map as it was: nothing is
+        # dirtied, and the keyframe still goes on to loop detection.
+        try:
+            if init_pass:
+                dirty_kfs, dirty_mps = bundle.global_bundle_adjust(m)
+            else:
+                dirty_kfs, dirty_mps = bundle.local_bundle_adjust(m, kf_id)
+        except SingularSystem as exc:
+            self.record("bundle_adjust_singular", center=str(kf_id),
+                        initial=init_pass, reason=str(exc))
+            self._forward_to_loop(m, kf_id)
+            return
+        if init_pass:
             self.record("initial_optimization", map=str(map_id))
         else:
-            dirty_kfs, dirty_mps = bundle.local_bundle_adjust(m, kf_id)
             self.record("local_bundle_adjust", center=str(kf_id),
                         window=len(dirty_kfs))
         self.state.mark_dirty(dirty_kfs, dirty_mps)

@@ -67,6 +67,7 @@ class SystemState:
     dirty_mps: set[int] = field(default_factory=set)
     paused: bool = False
     pause_epoch: int = 0
+    promoted_epoch: int = 0  # newest global epoch promoted here; 0 is none
 
     # Staging buffers: the superset of knowledge beyond the promoted tier.
     staged_kfs: dict[MapId, dict[KeyFrameId, NewKeyFramePayload]] = field(
@@ -300,6 +301,7 @@ def _update_point(state: SystemState, mp: MapPoint | None,
 def apply_map_batch(state: SystemState, batch: MapBatch) -> PromotionOutcome:
     """Apply a local batch immediately; stage global batches per epoch and
     promote the whole epoch atomically once sequence 0..final is held.
+    A global batch of the epoch that already promoted is a duplicate.
 
     Raises EpochMismatch for batches of an epoch older than the current
     one (superseded data).
@@ -318,6 +320,8 @@ def apply_map_batch(state: SystemState, batch: MapBatch) -> PromotionOutcome:
     if batch.epoch < state.pause_epoch:
         raise EpochMismatch(
             f"global batch epoch {batch.epoch} < {state.pause_epoch}")
+    if batch.epoch == state.promoted_epoch:
+        return PromotionOutcome.DUPLICATE
     observe_epoch(state, batch.epoch)
     per_epoch = state.staged_global.setdefault(batch.epoch, {})
     per_epoch[batch.seq] = batch
@@ -344,6 +348,7 @@ def _promote_global(state: SystemState, epoch: int) -> None:
     batches = [state.staged_global[epoch][s]
                for s in sorted(state.staged_global[epoch])]
     del state.staged_global[epoch]
+    state.promoted_epoch = epoch
     head = batches[0]
     surviving = state.slam.get(head.map_id)
 

@@ -5,6 +5,7 @@ import pytest
 from scipy.optimize import least_squares
 
 from meshslam.core import (
+    covis,
     create_keyframe,
     global_bundle_adjust,
     initialize_map,
@@ -13,7 +14,12 @@ from meshslam.core import (
     track_frame,
 )
 from meshslam.core.bundle import _Problem
-from meshslam.core.types import SingularSystem, TrackStatus
+from meshslam.core.types import (
+    MapPoint,
+    Observation,
+    SingularSystem,
+    TrackStatus,
+)
 from meshslam.geometry import Pose2, wrap_angle
 from meshslam.ids import IdAllocator
 
@@ -35,8 +41,9 @@ def build_chain(n_kfs, landmarks, alloc, rng=None, sigma_r=0.0, sigma_b=0.0):
     return m, poses
 
 
-def scipy_oracle(m, free_kfs, free_mps):
-    """Independent dense least squares over the same window."""
+def scipy_oracle(m, free_kfs, free_mps, skip=frozenset()):
+    """Independent dense least squares over the same window, leaving out
+    the (keyframe, map point) observations in skip."""
     kf_index = {k: 3 * i for i, k in enumerate(free_kfs)}
     base = 3 * len(free_kfs)
     mp_index = {p: base + 2 * i for i, p in enumerate(free_mps)}
@@ -46,7 +53,7 @@ def scipy_oracle(m, free_kfs, free_mps):
         mp = m.map_points[mid]
         for kid in sorted(mp.observers):
             kf = m.keyframes.get(kid)
-            if kf is None or mid not in kf.observations:
+            if kf is None or mid not in kf.observations or (kid, mid) in skip:
                 continue
             o = kf.observations[mid]
             rows.append((kid, mid, o.range, o.bearing))
@@ -229,14 +236,15 @@ def test_monotone_cost_under_adjustment(alloc):
         assert map_cost(m) <= before_g + 1e-12
 
 
-def _reference_normal_equations(p, x):
-    """Scatter-add assembly, one observation block after another."""
+def _reference_jacobians(p, x):
+    """Residuals (n, 2) and 2x5 Jacobian blocks (n, 2, 5) with columns
+    [kf.x, kf.y, kf.theta, mp.x, mp.y]; a fixed observer's pose columns
+    are zero."""
     dx, dy, q, r, kt = p._geometry(x)
-    res_r = r - p.obs_range
-    bearing = np.arctan2(dy, dx) - kt - p.obs_bearing
-    res_b = np.mod(bearing + np.pi, 2.0 * np.pi) - np.pi
-    n = p.n_obs
-    blocks = np.zeros((n, 2, 5))
+    res = np.stack([r - p.obs_range,
+                    np.mod(np.arctan2(dy, dx) - kt - p.obs_bearing + np.pi,
+                           2.0 * np.pi) - np.pi], axis=1)
+    blocks = np.zeros((p.n_obs, 2, 5))
     blocks[:, 0, 0] = -dx * (1.0 / r)
     blocks[:, 0, 1] = -dy * (1.0 / r)
     blocks[:, 0, 3] = dx * (1.0 / r)
@@ -246,25 +254,46 @@ def _reference_normal_equations(p, x):
     blocks[:, 1, 2] = -1.0
     blocks[:, 1, 3] = -dy * (1.0 / q)
     blocks[:, 1, 4] = dx * (1.0 / q)
-    cols = np.stack([p.kf_col, p.kf_col + 1, p.kf_col + 2,
-                     p.mp_col, p.mp_col + 1], axis=1)
-    fixed = ~p.free_mask
-    blocks[fixed, :, 0:3] = 0.0
-    cols[fixed, 0:3] = 0
-    jtj_blocks = np.einsum("nij,nik->njk", blocks, blocks)
-    jtr_blocks = np.einsum("nij,ni->nj", blocks,
-                           np.stack([res_r, res_b], axis=1))
-    jtj = np.zeros((p.n_vars, p.n_vars))
-    jtr = np.zeros(p.n_vars)
-    ci = np.broadcast_to(cols[:, :, None], (n, 5, 5))
-    cj = np.broadcast_to(cols[:, None, :], (n, 5, 5))
-    np.add.at(jtj, (ci, cj), jtj_blocks)
-    np.add.at(jtr, cols, jtr_blocks)
-    return jtj, jtr
+    blocks[~p.free_mask, :, 0:3] = 0.0
+    return res, blocks
+
+
+def _reference_blocks(p, x):
+    """U, V, W and both gradient halves by scatter-add, one observation
+    block after another."""
+    res, blocks = _reference_jacobians(p, x)
+    jc, jp = blocks[:, :, 0:3], blocks[:, :, 3:5]
+    free = p.free_mask
+    kf, mp = p.kf_slot[free], p.mp_slot
+    n_kfs, n_mps = len(p.free_kfs), len(p.free_mps)
+    u = np.zeros((n_kfs, 3, 3))
+    np.add.at(u, kf, np.einsum("nij,nik->njk", jc[free], jc[free]))
+    v = np.zeros((n_mps, 2, 2))
+    np.add.at(v, mp, np.einsum("nij,nik->njk", jp, jp))
+    w = np.einsum("nij,nik->njk", jc[free], jp[free])
+    g_kf = np.zeros((n_kfs, 3))
+    np.add.at(g_kf, kf, np.einsum("nij,ni->nj", jc[free], res[free]))
+    g_mp = np.zeros((n_mps, 2))
+    np.add.at(g_mp, mp, np.einsum("nij,ni->nj", jp, res))
+    return u, v, w, g_kf, g_mp
+
+
+def _dense_step(p, x):
+    """The Gauss-Newton step from a dense J^T J, without elimination."""
+    res, blocks = _reference_jacobians(p, x)
+    jac = np.zeros((2 * p.n_obs, p.n_vars))
+    base = 3 * len(p.free_kfs)
+    for i in range(p.n_obs):
+        if p.kf_slot[i] >= 0:
+            c = 3 * p.kf_slot[i]
+            jac[2 * i:2 * i + 2, c:c + 3] = blocks[i, :, 0:3]
+        c = base + 2 * p.mp_slot[i]
+        jac[2 * i:2 * i + 2, c:c + 2] = blocks[i, :, 3:5]
+    return np.linalg.solve(jac.T @ jac, -(jac.T @ res.ravel()))
 
 
 def _reference_rows(m, kf_index, free_mps):
-    """(kf column, observer pose, range, bearing) per residual pair, in
+    """(kf slot, observer pose, range, bearing) per residual pair, in
     (map point, observer) order, built one observation at a time."""
     rows = []
     for mid in free_mps:
@@ -273,9 +302,9 @@ def _reference_rows(m, kf_index, free_mps):
             if kf is None or mid not in kf.observations:
                 continue
             o = kf.observations[mid]
-            col = kf_index.get(kid, -1)
-            pose = (kf.pose.x, kf.pose.y, kf.pose.theta) if col < 0 else (0.0,) * 3
-            rows.append((col, *pose, o.range, o.bearing))
+            slot = kf_index.get(kid, -1)
+            pose = (kf.pose.x, kf.pose.y, kf.pose.theta) if slot < 0 else (0.0,) * 3
+            rows.append((slot, *pose, o.range, o.bearing))
     return rows
 
 
@@ -291,20 +320,23 @@ def test_problem_assembly_is_bitwise_the_scatter_add_reference(seed):
     free_mps = sorted(m.map_points)
     p = _Problem(m, free_kfs, free_mps)
     assert p.free_mask.any() and not p.free_mask.all()
+    assert p.free_mps == free_mps
 
-    ref = _reference_rows(m, p.kf_index, free_mps)
-    got = list(zip(p.kf_col.tolist(), p.fixed_x.tolist(), p.fixed_y.tolist(),
+    kf_index = {kid: i for i, kid in enumerate(free_kfs)}
+    ref = _reference_rows(m, kf_index, free_mps)
+    got = list(zip(p.kf_slot.tolist(), p.fixed_x.tolist(), p.fixed_y.tolist(),
                    p.fixed_t.tolist(), p.obs_range.tolist(),
                    p.obs_bearing.tolist()))
     assert got == ref
 
     x = p.pack()
     x = x + rng.normal(0.0, 0.01, x.shape)
-    jtj, jtr = p.normal_equations(x)
-    ref_jtj, ref_jtr = _reference_normal_equations(p, x)
-    assert jtj.tobytes() == ref_jtj.tobytes()
-    assert jtr.tobytes() == ref_jtr.tobytes()
-    assert jtj.flags.c_contiguous and jtj.shape == ref_jtj.shape
+    got_blocks = p.blocks(x)
+    ref_blocks = _reference_blocks(p, x)
+    for name, a, b in zip(("U", "V", "W", "g_kf", "g_mp"), got_blocks,
+                          ref_blocks):
+        assert a.shape == b.shape, name
+        assert a.tobytes() == b.tobytes(), name
 
     p.unpack(x)
     for i, kid in enumerate(free_kfs):
@@ -315,3 +347,76 @@ def test_problem_assembly_is_bitwise_the_scatter_add_reference(seed):
     for i, mid in enumerate(free_mps):
         mp = m.map_points[mid]
         assert (mp.x, mp.y) == (x[base + 2 * i], x[base + 2 * i + 1])
+
+
+def _place_near(m, kf_id, mid, distance):
+    """Move a map point to `distance` metres from a keyframe."""
+    pose = m.keyframes[kf_id].pose
+    mp = m.map_points[mid]
+    mp.x, mp.y = pose.x + distance, pose.y
+
+
+@pytest.mark.parametrize("case", ["anchors", "no_free_keyframe", "guard"])
+def test_schur_step_matches_dense_solve(case):
+    alloc = IdAllocator(1)
+    landmarks = grid_landmarks(40, spacing=0.9)
+    rng = np.random.default_rng(31)
+    m, _ = build_chain(5, landmarks, alloc, rng=rng, sigma_r=0.02, sigma_b=0.01)
+    kfs = sorted(m.keyframes)
+    free_kfs = [] if case == "no_free_keyframe" else kfs[2:]
+    free_mps = sorted(m.map_points)
+    n_pairs = sum(len(m.map_points[mid].observers) for mid in free_mps)
+    if case == "guard":
+        shared = next(mid for mid in free_mps
+                      if kfs[-1] in m.map_points[mid].observers
+                      and len(m.map_points[mid].observers) > 2)
+        _place_near(m, kfs[-1], shared, 1e-6)
+    p = _Problem(m, free_kfs, free_mps)
+    assert p.n_obs == n_pairs - (case == "guard")
+    assert p.free_mps == free_mps
+
+    x = p.pack()
+    x = x + rng.normal(0.0, 0.01, x.shape)
+    got = p.step(x)
+    want = _dense_step(p, x)
+    np.testing.assert_allclose(got, want, rtol=1e-9, atol=1e-12)
+
+
+def test_guard_drops_near_pairs_and_orphaned_points():
+    alloc = IdAllocator(1)
+    landmarks = grid_landmarks(40, spacing=0.9)
+    rng = np.random.default_rng(13)
+    m, _ = build_chain(4, landmarks, alloc, rng=rng, sigma_r=0.01, sigma_b=0.005)
+    kfs = sorted(m.keyframes)
+    center = kfs[-1]
+    observers = {mid: m.map_points[mid].observers for mid in m.map_points}
+    shared = next(mid for mid in sorted(observers)
+                  if center in observers[mid] and len(observers[mid]) > 2)
+    _place_near(m, center, shared, 1e-6)
+    # A point back-projected from a range reading clamped to 1e-6 m.
+    lone = max(m.map_points) + 1
+    m.map_points[lone] = MapPoint(lone, 0.0, 0.0, 999, {center})
+    m.keyframes[center].observations[lone] = Observation(999, 1e-6, 0.0)
+    _place_near(m, center, lone, 1e-6)
+    lone_xy = (m.map_points[lone].x, m.map_points[lone].y)
+
+    window = sorted({center, *covis.strongest_covisible(m, center, 5)})
+    free_kfs = window[1:]
+    free_mps = sorted({mid for k in window for mid in m.keyframes[k].observations})
+    local_bundle_adjust(m, center, 5)
+
+    # The orphaned point is no variable; the rest is the least-squares
+    # optimum over the observations that remain.
+    assert (m.map_points[lone].x, m.map_points[lone].y) == lone_xy
+    kept_mps = [mid for mid in free_mps if mid != lone]
+    x_star, kf_index, mp_index = scipy_oracle(
+        m, free_kfs, kept_mps, skip={(center, shared)})
+    for k, c in kf_index.items():
+        pose = m.keyframes[k].pose
+        assert abs(pose.x - x_star[c]) < 1e-6
+        assert abs(pose.y - x_star[c + 1]) < 1e-6
+        assert abs(wrap_angle(pose.theta - x_star[c + 2])) < 1e-6
+    for p, c in mp_index.items():
+        mp = m.map_points[p]
+        assert abs(mp.x - x_star[c]) < 1e-6
+        assert abs(mp.y - x_star[c + 1]) < 1e-6

@@ -1,6 +1,8 @@
 import pytest
 
 from meshslam.config import NodeConfig
+from meshslam.core import bundle
+from meshslam.core.types import SingularSystem
 from meshslam.geometry import Pose2
 from meshslam.ids import KeyFrameId, MapId, mint_map_point_id
 from meshslam.messages import (
@@ -333,6 +335,41 @@ def test_keyframe_processing_defers_while_paused():
     assert not rig.node.state.paused
     assert KeyFrameId(1, 7) in rig.node.state.slam[MAP].keyframes
     assert any(n == "local_bundle_adjust" for _, n, _ in rig.events)
+
+
+@pytest.mark.parametrize("initial", [False, True], ids=["lba", "initial_gba"])
+def test_singular_adjustment_is_recorded_and_the_keyframe_moves_on(
+        monkeypatch, initial):
+    rig = Rig(LM)
+    rig.join_peer(TR)
+    rig.join_peer(LC)
+    m = seed_map(rig.node, 3)
+    m.initialized_optimized = not initial
+
+    def singular(*args, **kwargs):
+        raise SingularSystem("rank-deficient normal equations")
+
+    name = "global_bundle_adjust" if initial else "local_bundle_adjust"
+    monkeypatch.setattr(bundle, name, singular)
+    fresh = kf_payload(7, [0], pose=Pose2(9, 9, 0))
+    rig.node.on_envelope(envelope(Topic.KF_NEW, TR, 3,
+                                  PayloadKind.NEW_KEYFRAME, fresh,
+                                  target=Target.LM))
+    assert KeyFrameId(1, 7) in m.keyframes
+    singular_events = [d for _, n, d in rig.events
+                       if n == "bundle_adjust_singular"]
+    assert singular_events == [{"center": str(KeyFrameId(1, 7)),
+                                "initial": initial,
+                                "reason": "rank-deficient normal equations"}]
+    assert not any(n in ("local_bundle_adjust", "initial_optimization")
+                   for _, n, _ in rig.events)
+    assert not rig.node.state.dirty_kfs and not rig.node.state.dirty_mps
+    assert m.initialized_optimized is not initial
+    rig.run()
+    assert not rig.sent(topic=Topic.MAP_LOCAL)
+    forwarded = rig.sent(topic=Topic.KF_FORWARD)
+    assert [(target, decode_payload(env.kind, env.payload).keyframe.kf_id)
+            for _, target, env in forwarded] == [(LC, KeyFrameId(1, 7))]
 
 
 def test_stale_local_batch_discarded_after_promotion():

@@ -42,3 +42,22 @@ def test_only_the_latest_writer_helpers_store_applied_keys():
                for node in ast.walk(func)
                if _stored_attribute(node) in {"applied_kf_seq", "applied_mp_seq"}}
     assert writers == {"_update_pose", "_update_point"}
+
+
+def _imported_modules(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield from (alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            yield node.module
+
+
+def test_library_imports_no_scipy():
+    # numpy is the only runtime dependency; scipy serves the tests alone.
+    paths = sorted(SRC.rglob("*.py"))
+    assert paths
+    found = [f"{path.relative_to(SRC)}: {name}"
+             for path in paths
+             for name in _imported_modules(ast.parse(path.read_text()))
+             if name.split(".")[0] == "scipy"]
+    assert found == []

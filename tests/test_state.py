@@ -178,6 +178,20 @@ def test_global_update_promotes_atomically():
     assert st.slam[MAP].initialized_optimized
 
 
+def test_redelivered_global_batches_after_promotion_are_duplicates():
+    st = seeded_state(23)
+    batches = global_batches(epoch=1, n_kfs=23, size=10)
+    for b in batches:
+        apply_map_batch(st, b)
+    digest = canonical_digest(st)
+    assert apply_map_batch(st, batches[1]) is PromotionOutcome.DUPLICATE
+    assert [apply_map_batch(st, b) for b in batches] == \
+        [PromotionOutcome.DUPLICATE] * 3
+    assert st.staged_global == {}
+    assert not st.paused
+    assert canonical_digest(st) == digest
+
+
 def test_global_update_with_lost_batch_never_promotes():
     st = seeded_state(23)
     digest_before = canonical_digest(st)
