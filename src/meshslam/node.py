@@ -279,12 +279,24 @@ class SlamNode:
         self._drain_queues()
 
     def _reexecute_mapping(self, kf_ids: list[KeyFrameId]) -> None:
+        # The decision may have flipped back since the takeover was
+        # scheduled; the keyframes then stay with the mapper.
+        if not self._holds_mapping_duty():
+            self.record("takeover_cancelled", duty="mapping",
+                        keyframes=len(kf_ids))
+            self.unconfirmed_mapped[:0] = kf_ids
+            return
         for kf_id in kf_ids:
             kf = self.state.find_keyframe(kf_id)
             if kf is not None:
                 self._mapping_step(kf_id, kf.map_id)
 
     def _reexecute_loop(self, kf_ids: list[KeyFrameId]) -> None:
+        if not self._holds_loop_duty():
+            self.record("takeover_cancelled", duty="loop",
+                        keyframes=len(kf_ids))
+            self.unconfirmed_forwarded.extendleft(reversed(kf_ids))
+            return
         for kf_id in kf_ids:
             if self.state.find_keyframe(kf_id) is not None:
                 self._loop_step(kf_id)

@@ -2,7 +2,17 @@
 
 Frames are sampled at a fixed 20 Hz. Identical spec and seed give a
 byte-identical frame stream; every random draw comes from one seeded
-generator in a fixed order.
+generator in a fixed order: the landmark field, then per frame the
+odometry noise and one block of observation noise.
+
+The block is ``rng.standard_normal((n_visible, draws))``, one row per
+visible landmark in ascending id order and one column per positive sigma
+(range, then bearing), so its C order is the order of the per-landmark
+scalar draws it replaces; ``0.0 + sigma * z`` is the IEEE operation
+``rng.normal(0.0, sigma)`` performs. Range and bearing stay on scalar
+``math.hypot``/``math.atan2`` mapped over Python floats: numpy's
+``hypot`` and ``arctan2`` differ from them in the last bit on some
+inputs, and frames must equal those of a per-landmark scalar loop.
 """
 
 from __future__ import annotations
@@ -16,7 +26,7 @@ import numpy as np
 
 from meshslam.config import parse_kv_file
 from meshslam.core.types import Frame, Observation, SlamError
-from meshslam.geometry import Pose2, range_bearing, wrap_angle
+from meshslam.geometry import Pose2, wrap_angle
 
 FRAME_RATE_HZ = 20.0
 
@@ -43,6 +53,25 @@ class ScenarioSpec:
     sigma_bearing: float
     sigma_odometry: float
     seed: int
+
+    def __post_init__(self) -> None:
+        if not self.n_frames >= 2:
+            raise ValueError(f"n_frames must be >= 2: {self.n_frames!r}")
+        if not self.landmark_count >= 1:
+            raise ValueError(
+                f"landmark_count must be >= 1: {self.landmark_count!r}")
+        if not (math.isfinite(self.sensor_range) and self.sensor_range > 0):
+            raise ValueError(
+                f"sensor_range must be finite and > 0: {self.sensor_range!r}")
+        for name in ("sigma_range", "sigma_bearing", "sigma_odometry"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0):
+                raise ValueError(f"{name} must be finite and >= 0: {value!r}")
+        box = self.bbox
+        if not (len(box) == 4 and all(map(math.isfinite, box))
+                and box[0] < box[2] and box[1] < box[3]):
+            raise ValueError(
+                f"bbox must be 4 finite numbers with x0 < x1, y0 < y1: {box!r}")
 
 
 def _loop_poses(spec: ScenarioSpec) -> list[Pose2]:
@@ -147,6 +176,46 @@ def _two_segment_poses(spec: ScenarioSpec) -> tuple[list[Pose2], set[int]]:
     return poses, blackout
 
 
+def _trajectory(spec: ScenarioSpec) -> tuple[list[Pose2], set[int]]:
+    """Ground-truth poses and the frames whose sensor is blanked."""
+    if spec.trajectory is TrajectoryKind.LOOP:
+        return _loop_poses(spec), set()
+    if spec.trajectory is TrajectoryKind.FIGURE_EIGHT:
+        return _figure_eight_poses(spec), set()
+    if spec.trajectory is TrajectoryKind.LAWNMOWER:
+        return _lawnmower_poses(spec), set()
+    return _two_segment_poses(spec)
+
+
+def _wrap_angles(t: np.ndarray) -> np.ndarray:
+    """``wrap_angle`` over an array, bit for bit: fmod is exact, and the
+    branch adds are the same IEEE additions."""
+    t = np.fmod(t, 2.0 * math.pi)
+    return np.where(t <= -math.pi, t + 2.0 * math.pi,
+                    np.where(t > math.pi, t - 2.0 * math.pi, t))
+
+
+def _observe(spec: ScenarioSpec, rng: np.random.Generator, pose: Pose2,
+             ids: np.ndarray, lx: np.ndarray, ly: np.ndarray
+             ) -> tuple[Observation, ...]:
+    """Noisy range-bearing observations of landmarks ``ids`` (ascending),
+    drawing the frame's noise block."""
+    dx = (lx[ids] - pose.x).tolist()
+    dy = (ly[ids] - pose.y).tolist()
+    r = np.array(list(map(math.hypot, dx, dy)))
+    b = _wrap_angles(np.array(list(map(math.atan2, dy, dx))) - pose.theta)
+    draws = (spec.sigma_range > 0) + (spec.sigma_bearing > 0)
+    if draws:
+        columns = iter(rng.standard_normal((len(dx), draws)).T)
+        if spec.sigma_range > 0:
+            r = r + (0.0 + spec.sigma_range * next(columns))
+        if spec.sigma_bearing > 0:
+            b = b + (0.0 + spec.sigma_bearing * next(columns))
+    r[r <= 0.0] = 1e-6
+    return tuple(map(Observation, ids.tolist(), r.tolist(),
+                     _wrap_angles(b).tolist()))
+
+
 def generate_scenario(spec: ScenarioSpec
                       ) -> tuple[list[Frame], list[tuple[float, float, float, float]]]:
     """Produce the frame stream and the ground-truth trajectory record."""
@@ -154,16 +223,12 @@ def generate_scenario(spec: ScenarioSpec
     x0, y0, x1, y1 = spec.bbox
     lx = rng.uniform(x0, x1, spec.landmark_count)
     ly = rng.uniform(y0, y1, spec.landmark_count)
-
-    blackout: set[int] = set()
-    if spec.trajectory is TrajectoryKind.LOOP:
-        poses = _loop_poses(spec)
-    elif spec.trajectory is TrajectoryKind.FIGURE_EIGHT:
-        poses = _figure_eight_poses(spec)
-    elif spec.trajectory is TrajectoryKind.LAWNMOWER:
-        poses = _lawnmower_poses(spec)
-    else:
-        poses, blackout = _two_segment_poses(spec)
+    poses, blackout = _trajectory(spec)
+    # Landmarks by x: each frame tests only the x-window around the pose.
+    # The 1 m margin keeps rounding at the window's edge from dropping one.
+    by_x = np.argsort(lx, kind="stable")
+    sorted_x = lx[by_x]
+    reach = spec.sensor_range + 1.0
 
     frames: list[Frame] = []
     ground_truth = []
@@ -179,26 +244,19 @@ def generate_scenario(spec: ScenarioSpec
             noise = rng.normal(0.0, spec.sigma_odometry, 3)
             delta = Pose2(delta.x + noise[0], delta.y + noise[1],
                           wrap_angle(delta.theta + noise[2]))
-        observations: list[Observation] = []
+        observations: tuple[Observation, ...] = ()
         if k not in blackout:
-            dx = lx - pose.x
-            dy = ly - pose.y
-            dist = np.hypot(dx, dy)
-            visible = np.flatnonzero(dist <= spec.sensor_range)
-            for idx in visible:
-                rng_true, brg_true = range_bearing(pose, float(lx[idx]),
-                                                   float(ly[idx]))
-                noisy_r = rng_true + float(rng.normal(0.0, spec.sigma_range)) \
-                    if spec.sigma_range > 0 else rng_true
-                noisy_b = brg_true + float(rng.normal(0.0, spec.sigma_bearing)) \
-                    if spec.sigma_bearing > 0 else brg_true
-                if noisy_r <= 0.0:
-                    noisy_r = 1e-6
-                observations.append(Observation(int(idx), noisy_r,
-                                                wrap_angle(noisy_b)))
-        if observations:
-            any_obs = True
-        frames.append(Frame(k, t, delta, tuple(observations)))
+            lo, hi = np.searchsorted(sorted_x, (pose.x - reach, pose.x + reach))
+            near = by_x[lo:hi]
+            dist = np.hypot(lx[near] - pose.x, ly[near] - pose.y)
+            # Back to ascending id order, which is the noise draw order.
+            visible = np.zeros(spec.landmark_count, dtype=bool)
+            visible[near[dist <= spec.sensor_range]] = True
+            ids = np.flatnonzero(visible)
+            if len(ids):
+                observations = _observe(spec, rng, pose, ids, lx, ly)
+                any_obs = True
+        frames.append(Frame(k, t, delta, observations))
         prev = pose
     if not any_obs:
         raise EmptyWorld("no landmark observable in any frame")
@@ -212,8 +270,6 @@ def scenario_from_file(path: str | Path, seed_override: int | None = None
     entries = dict(parse_kv_file(path))
     get = entries.pop  # each key read is removed; the rest are unknown
     bbox = tuple(float(tok) for tok in get("bbox", "-12 -12 12 12").split())
-    if len(bbox) != 4:
-        raise ValueError("bbox needs 4 numbers: x0 y0 x1 y1")
     seed = int(get("seed", "0"))
     if seed_override is not None:
         seed = seed_override

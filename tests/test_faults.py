@@ -1,5 +1,7 @@
 """Fault-injection scenarios beyond the acceptance minimum."""
 
+import pytest
+
 from meshslam.config import LinkProfile, NodeConfig, TopologySpec
 from meshslam.policy import Role
 from meshslam.runner import run_centralized, run_distributed
@@ -84,3 +86,23 @@ def test_flapping_crash_within_one_heartbeat_changes_nothing(tmp_path):
     result = run_distributed(spec, mesh(fault_file=str(faults)))
     assert not any(n == "member_left" for _, _, n, _ in result.events)
     assert not result.metrics.diverged
+
+
+@pytest.mark.parametrize("seed, duties", [(1, {"mapping"}),
+                                          (4, {"mapping", "loop"})])
+def test_short_lm_cut_cancels_a_stale_takeover(tmp_path, seed, duties):
+    """Cut lm from both peers for 500 ms. tr (and on seed 4 also lm, for
+    loop closing) decide the peer is gone and schedule a takeover, then
+    hear it again before the takeover runs. The takeover stands down and
+    leaves the keyframes with the duty holder; without that re-check it
+    published with duties the node no longer held (TopicViolation)."""
+    spec = default_scenario(TrajectoryKind.LOOP, seed=seed)
+    faults = tmp_path / "faults.txt"
+    faults.write_text("4000 partition tr lm\n4000 partition lm lc\n"
+                      "4500 heal tr lm\n4500 heal lm lc\n")
+    result = run_distributed(spec, mesh(fault_file=str(faults)))
+    cancelled = {d["duty"] for _, _, n, d in result.events
+                 if n == "takeover_cancelled"}
+    assert cancelled == duties
+    assert not result.metrics.diverged
+    assert len(set(result.metrics.digests.values())) == 1

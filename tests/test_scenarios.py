@@ -1,14 +1,20 @@
 import math
+from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from meshslam.config import NodeConfig
+from meshslam.core.types import Frame, Observation
+from meshslam.geometry import Pose2, range_bearing, wrap_angle
 from meshslam.policy import Role
 from meshslam.runner import run_centralized
 from meshslam.scenarios import (
+    FRAME_RATE_HZ,
     EmptyWorld,
     ScenarioSpec,
     TrajectoryKind,
+    _trajectory,
     default_scenario,
     generate_scenario,
 )
@@ -51,8 +57,9 @@ def test_two_segment_has_observation_gap_and_two_maps():
 
 
 def test_empty_world_rejected():
-    spec = ScenarioSpec(TrajectoryKind.LOOP, 50, 0, (-5, -5, 5, 5),
-                        2.0, 0.0, 0.0, 0.0, 1)
+    # One landmark and a sensor range no pose can come within.
+    spec = ScenarioSpec(TrajectoryKind.LOOP, 50, 1, (-5, -5, 5, 5),
+                        1e-9, 0.0, 0.0, 0.0, 1)
     with pytest.raises(EmptyWorld):
         generate_scenario(spec)
 
@@ -66,3 +73,99 @@ def test_frames_run_at_20_hz():
         assert abs(d - 0.05) < 1e-12
     ids = [f.frame_id for f in frames]
     assert ids == sorted(ids) and len(set(ids)) == len(ids)
+
+
+def reference_generate(spec: ScenarioSpec):
+    """The per-landmark scalar loop the generator's noise blocks replace:
+    all-landmark distance test, one ``rng.normal`` per sigma per visible
+    landmark, scalar ``range_bearing``."""
+    rng = np.random.Generator(np.random.PCG64(spec.seed))
+    x0, y0, x1, y1 = spec.bbox
+    lx = rng.uniform(x0, x1, spec.landmark_count)
+    ly = rng.uniform(y0, y1, spec.landmark_count)
+    poses, blackout = _trajectory(spec)
+    frames, ground_truth = [], []
+    prev = None
+    for k, pose in enumerate(poses):
+        t = k / FRAME_RATE_HZ
+        ground_truth.append((t, pose.x, pose.y, pose.theta))
+        if prev is None:
+            delta = Pose2()
+        else:
+            delta = pose.relative_to(prev)
+            noise = rng.normal(0.0, spec.sigma_odometry, 3)
+            delta = Pose2(delta.x + noise[0], delta.y + noise[1],
+                          wrap_angle(delta.theta + noise[2]))
+        observations = []
+        if k not in blackout:
+            dist = np.hypot(lx - pose.x, ly - pose.y)
+            for idx in np.flatnonzero(dist <= spec.sensor_range):
+                r, b = range_bearing(pose, float(lx[idx]), float(ly[idx]))
+                if spec.sigma_range > 0:
+                    r = r + float(rng.normal(0.0, spec.sigma_range))
+                if spec.sigma_bearing > 0:
+                    b = b + float(rng.normal(0.0, spec.sigma_bearing))
+                if r <= 0.0:
+                    r = 1e-6
+                observations.append(Observation(int(idx), r, wrap_angle(b)))
+        frames.append(Frame(k, t, delta, tuple(observations)))
+        prev = pose
+    return frames, ground_truth
+
+
+def _scaled(kind: TrajectoryKind, seed: int, k: int) -> ScenarioSpec:
+    base = default_scenario(kind, seed=seed)
+    return replace(base, n_frames=base.n_frames * k,
+                   landmark_count=base.landmark_count * k * k,
+                   bbox=tuple(v * k for v in base.bbox))
+
+
+_LOOP = default_scenario(TrajectoryKind.LOOP, seed=4)
+IDENTITY_SPECS = [
+    *(_scaled(kind, seed, k) for kind in TrajectoryKind
+      for seed in (1, 2, 3) for k in (1, 2)),
+    replace(_LOOP, sigma_range=0.0),
+    replace(_LOOP, sigma_bearing=0.0),
+    replace(_LOOP, sigma_range=0.0, sigma_bearing=0.0),
+    # Noise large enough to push ranges through zero onto the clamp.
+    replace(_LOOP, sigma_range=5.0),
+    # Small enough that some frames see nothing.
+    replace(_LOOP, sensor_range=0.5),
+]
+
+
+@pytest.mark.parametrize("spec", IDENTITY_SPECS,
+                         ids=lambda s: f"{s.trajectory.value}-{s.seed}-"
+                         f"{s.n_frames}-{s.sigma_range}-{s.sigma_bearing}-"
+                         f"{s.sensor_range}")
+def test_generator_equals_scalar_reference(spec):
+    got = generate_scenario(spec)
+    want = reference_generate(spec)
+    assert got == want
+    assert repr(got) == repr(want)
+
+
+def test_identity_specs_cover_empty_frames_and_clamp():
+    frames, _ = generate_scenario(replace(_LOOP, sensor_range=0.5))
+    assert any(not f.observations for f in frames)
+    assert any(f.observations for f in frames)
+    frames, _ = generate_scenario(replace(_LOOP, sigma_range=5.0))
+    assert any(o.range == 1e-6 for f in frames for o in f.observations)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("n_frames", 1),
+    ("landmark_count", 0),
+    ("sensor_range", 0.0),
+    ("sensor_range", math.inf),
+    ("sigma_range", -0.1),
+    ("sigma_bearing", math.inf),
+    ("sigma_odometry", math.nan),
+    ("bbox", (12.0, -12.0, -12.0, 12.0)),
+    ("bbox", (-12.0, 12.0, 12.0, -12.0)),
+    ("bbox", (-12.0, -12.0, math.nan, 12.0)),
+    ("bbox", (-12.0, -12.0, 12.0)),
+])
+def test_spec_rejects_bad_values_naming_the_field(field, value):
+    with pytest.raises(ValueError, match=field):
+        replace(default_scenario(TrajectoryKind.LOOP), **{field: value})
