@@ -9,7 +9,10 @@ first and odd pairs the change. The last line of each run's standard
 output is its JSON result. For every metric of that JSON the summary
 gives the median [q1, q3] of each side and the number of pairs the
 change won, in the direction ``BENCHMARK.json`` of CHANGE_DIR declares
-(``-`` where it declares none). The exit status is 1 if any run reports
+(``-`` where it declares none). Its ``claim`` column says whether a claim
+of a gain in that metric would stand: at least 10 pairs, the change won
+at least 9/10 of them (ties count for neither), and its median is better
+than the parent's by more than the parent's q3 - q1. The exit status is 1 if any run reports
 ``correct: false`` or prints no JSON result, and 0 otherwise. The
 checkouts are only run; their result files land in their own
 ``perfbench/out/``.
@@ -23,6 +26,9 @@ import statistics
 import subprocess
 import sys
 from pathlib import Path
+
+
+MIN_CLAIM_PAIRS = 10
 
 
 def last_json(stdout: str) -> dict | None:
@@ -67,20 +73,24 @@ def summarize(pairs: list[tuple[dict | None, dict | None]],
         for r in pair:
             names.update(dict.fromkeys((r or {}).get("metrics", {})))
     lines = [f"{'metric':<16} {'parent median [q1, q3]':>30} "
-             f"{'change median [q1, q3]':>30}  change won"]
+             f"{'change median [q1, q3]':>30}  {'claim':<6}  change won"]
     for name in names:
-        parent = [_value(p, name) for p, _ in pairs]
-        change = [_value(c, name) for _, c in pairs]
-        both = [(p, c) for p, c in zip(parent, change)
-                if p is not None and c is not None]
-        verdict = "-"
+        values = [(_value(p, name), _value(c, name)) for p, c in pairs]
+        parent = [p for p, _ in values if p is not None]
+        change = [c for _, c in values if c is not None]
+        both = [(p, c) for p, c in values if p is not None and c is not None]
+        claim = verdict = "-"
         if better.get(name) in ("higher", "lower"):
             sign = 1.0 if better[name] == "higher" else -1.0
             won = sum(1 for p, c in both if sign * (c - p) > 0)
             verdict = f"{won}/{len(both)} ({better[name]} is better)"
-        lines.append(
-            f"{name:<16} {_cell([v for v in parent if v is not None]):>30} "
-            f"{_cell([v for v in change if v is not None]):>30}  {verdict}")
+            claim = "fails"
+            if len(both) >= MIN_CLAIM_PAIRS and 10 * won >= 9 * len(both):
+                q1, med, q3 = quartiles(parent)
+                if sign * (quartiles(change)[1] - med) > q3 - q1:
+                    claim = "stands"
+        lines.append(f"{name:<16} {_cell(parent):>30} {_cell(change):>30}"
+                     f"  {claim:<6}  {verdict}")
     bad = [f"pair {i} {side}" for i, pair in enumerate(pairs)
            for side, r in zip(("parent", "change"), pair)
            if r is None or r.get("correct") is not True]

@@ -91,7 +91,8 @@ def main() -> int:
         world = (landmarks if k % 4 else
                  {i: v for i, v in landmarks.items() if i < 20})
         delta = Pose2() if prev is None else pose.relative_to(prev)
-        frame = Frame(k, k / 20.0, delta, observe_world(pose, world))
+        frame = Frame.from_observations(k, k / 20.0, delta,
+                                        observe_world(pose, world))
         with locks[TR]:
             nodes[TR].on_frame(frame)
         prev = pose

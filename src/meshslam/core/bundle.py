@@ -18,9 +18,21 @@ blocks U, 2x2 point blocks V, one 3x2 pose-point block W per
 observation by a free keyframe, and the two gradient halves. The step
 eliminates the points (Triggs et al., "Bundle Adjustment - A Modern
 Synthesis", 1999, section 6): each V is inverted in closed form, the
-reduced pose system S = U - W V^-1 W^T is summed over every pair of free
-observations sharing a point (pairs indexed at gather time), only S is
-Cholesky-factorized, and the point steps follow by back-substitution.
+reduced pose system S = U - W V^-1 W^T is summed over every ordered pair
+of free observations sharing a point, only S is Cholesky-factorized, and
+the point steps follow by back-substitution.
+
+A loop closure's adjustment has tens of thousands of such pairs, and each
+pair's indices and 3x3 product take a few hundred bytes, so the pairs are
+never built for the whole problem at once. The step walks blocks of
+consecutive free poses, each holding at most ``SCHUR_BLOCK_PAIRS`` pairs
+(a local window fits in one): it builds the pairs whose first observation
+is by a pose of the block, in the order a whole-problem list would hold
+them, and sums them with one ``bincount`` into that block's rows of S. A
+block is a set of S rows because a pair lands in the row of its first
+pose: every entry of S then gets all of its terms from one block, summed
+in the same order as in one whole-problem ``bincount``, so S is the same
+to the bit whatever the block size.
 """
 
 from __future__ import annotations
@@ -40,6 +52,7 @@ GBA_MAX_ITERS = 20
 REL_TOL = 1e-6
 MAX_HALVINGS = 12
 MIN_BA_RANGE = 1e-3  # m; a nearer observation is left out of the problem
+SCHUR_BLOCK_PAIRS = 4096  # free-row pairs summed into S per row block
 
 
 class _Problem:
@@ -108,7 +121,6 @@ class _Problem:
         self.free_rows = np.flatnonzero(self.free_mask)
         self.free_kf = self.kf_slot[self.free_rows]
         self.free_mp = self.mp_slot[self.free_rows]
-        n_free = len(self.free_rows)
 
         self._rows_per_kf = np.bincount(self.free_kf,
                                         minlength=n_kfs).astype(float)
@@ -117,22 +129,25 @@ class _Problem:
         self._free_g_mp_index = (2 * self.free_mp[:, None]
                                  + np.arange(2)).ravel()
 
-        # Every ordered pair (a, b) of free rows that share a point: row a
-        # is repeated once per free row of its point, and b runs over
-        # those rows. The pair's 3x3 block of W_a V^-1 W_b^T lands in S
-        # at (pose a, pose b).
+        # Every ordered pair (a, b) of free rows that share a point enters
+        # S at (pose a, pose b); b runs over the free rows of a's point,
+        # which start at free row _first[a] and number _group[a].
         per_point = np.bincount(self.free_mp, minlength=n_mps)
-        first = np.cumsum(per_point) - per_point
-        group = per_point[self.free_mp]
-        self._pair_a = np.repeat(np.arange(n_free), group)
-        n_pairs = len(self._pair_a)
-        rank = np.arange(n_pairs) - np.repeat(np.cumsum(group) - group, group)
-        self._pair_b = np.repeat(first[self.free_mp], group) + rank
-        side = 3 * n_kfs
-        row = (3 * self.free_kf[self._pair_a][:, None, None]
-               + np.arange(3)[:, None])
-        col = 3 * self.free_kf[self._pair_b][:, None, None] + np.arange(3)
-        self._s_index = (row * side + col).ravel()
+        self._first = (np.cumsum(per_point) - per_point)[self.free_mp]
+        self._group = per_point[self.free_mp]
+        # Blocks of consecutive free poses, each closed before its pairs
+        # would pass SCHUR_BLOCK_PAIRS (a pose with more is a block alone).
+        pairs_per_kf = np.bincount(self.free_kf, weights=self._group,
+                                   minlength=n_kfs).astype(int)
+        starts: list[int] = []
+        count = 0
+        for kf, n in enumerate(pairs_per_kf.tolist()):
+            if not starts or (count and count + n > SCHUR_BLOCK_PAIRS):
+                starts.append(kf)
+                count = 0
+            count += n
+        self._blocks = list(zip(starts, starts[1:] + [n_kfs]))
+        self._last_block: tuple = (None, None)
 
     def pack(self) -> np.ndarray:
         values: list[float] = []
@@ -263,22 +278,20 @@ class _Problem:
         i00, i01, i11 = v11 / det, -v01 / det, v00 / det
 
         # Reduced system S d_kf = W V^-1 g_mp - g_kf, with
-        # S = U - W V^-1 W^T summed pair by pair.
+        # S = U - W V^-1 W^T summed pair by pair, one row block at a time.
         at = self.free_mp
         wv = np.empty_like(w)
         wv[:, :, 0] = w[:, :, 0] * i00[at, None] + w[:, :, 1] * i01[at, None]
         wv[:, :, 1] = w[:, :, 0] * i01[at, None] + w[:, :, 1] * i11[at, None]
-        wv_a, w_b = wv[self._pair_a], w[self._pair_b]
-        pairs = (wv_a[:, :, None, 0] * w_b[:, None, :, 0]
-                 + wv_a[:, :, None, 1] * w_b[:, None, :, 1])
         n_kfs = len(self.free_kfs)
         side = 3 * n_kfs
         s = np.zeros((n_kfs, 3, n_kfs, 3))
         diag = np.arange(n_kfs)
         s[diag, :, diag, :] = u
-        s = s.reshape(side, side) - np.bincount(
-            self._s_index, weights=pairs.ravel(),
-            minlength=side * side).reshape(side, side)
+        s = s.reshape(side, side)
+        for lo, hi in self._blocks:
+            block = s[3 * lo:3 * hi]  # a view: this writes the rows of s
+            block -= self._pair_sums(wv, w, lo, hi)
         g_at = g_mp[at]
         wv_g = wv[:, :, 0] * g_at[:, 0, None] + wv[:, :, 1] * g_at[:, 1, None]
         rhs = np.bincount(self._g_kf_index, weights=wv_g.ravel(),
@@ -295,6 +308,41 @@ class _Problem:
         d_mp = np.stack([i00 * h[:, 0] + i01 * h[:, 1],
                          i01 * h[:, 0] + i11 * h[:, 1]], axis=1)
         return np.concatenate([d_kf, -d_mp.ravel()])
+
+    def _block_pairs(self, lo: int, hi: int
+                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The pairs (a, b) whose row a is observed by a pose in [lo, hi),
+        in (a, b) order, and where each entry of their 3x3 blocks lands in
+        the block's rows of S, raveled. The last block built is kept, so a
+        one-block problem builds its pairs once."""
+        if self._last_block[0] != (lo, hi):
+            kf = self.free_kf
+            a = np.flatnonzero((kf >= lo) & (kf < hi))
+            group = self._group[a]
+            pair_a = np.repeat(a, group)
+            rank = np.arange(len(pair_a)) - np.repeat(
+                np.cumsum(group) - group, group)
+            pair_b = np.repeat(self._first[a], group) + rank
+            # Entry (i, j) of a pair's block lands at row 3 (pose a - lo) + i
+            # and column 3 pose b + j of the block's rows.
+            side = 3 * len(self.free_kfs)
+            corner = 3 * (kf[pair_a] - lo) * side + 3 * kf[pair_b]
+            index = (corner[:, None]
+                     + (side * np.arange(3)[:, None] + np.arange(3)).ravel())
+            self._last_block = ((lo, hi), (pair_a, pair_b, index.ravel()))
+        return self._last_block[1]
+
+    def _pair_sums(self, wv: np.ndarray, w: np.ndarray, lo: int, hi: int
+                   ) -> np.ndarray:
+        """Rows 3 lo .. 3 hi of the sum of W_a V^-1 W_b^T over the block's
+        pairs, shape (3 (hi - lo), 3 F)."""
+        pair_a, pair_b, index = self._block_pairs(lo, hi)
+        wv_a, w_b = wv[pair_a], w[pair_b]
+        pairs = (wv_a[:, :, None, 0] * w_b[:, None, :, 0]
+                 + wv_a[:, :, None, 1] * w_b[:, None, :, 1])
+        n_rows, side = 3 * (hi - lo), 3 * len(self.free_kfs)
+        return np.bincount(index, weights=pairs.ravel(),
+                           minlength=n_rows * side).reshape(n_rows, side)
 
 
 def _solve(problem: _Problem, max_iters: int) -> None:
@@ -377,18 +425,15 @@ def global_bundle_adjust(m: Map) -> tuple[set[KeyFrameId], set[int]]:
     return set(all_kfs), set(free_mps)
 
 
-def track_pose(kf_obs: list[tuple[float, float, float, float]], init: Pose2,
+def track_pose(lx: np.ndarray, ly: np.ndarray, obs_r: np.ndarray,
+               obs_b: np.ndarray, init: Pose2,
                max_iters: int = 20) -> tuple[Pose2, bool]:
     """Pose-only Gauss-Newton over fixed landmark positions.
 
-    kf_obs rows are (landmark_x, landmark_y, range, bearing). Returns
-    (pose, diverged); diverged is set after three consecutive cost
-    increases, with the best-cost iterate kept.
+    Row i is landmark (lx[i], ly[i]) seen at range obs_r[i] and bearing
+    obs_b[i]. Returns (pose, diverged); diverged is set after three
+    consecutive cost increases, with the best-cost iterate kept.
     """
-    lx = np.array([o[0] for o in kf_obs])
-    ly = np.array([o[1] for o in kf_obs])
-    obs_r = np.array([o[2] for o in kf_obs])
-    obs_b = np.array([o[3] for o in kf_obs])
     n_res = 2 * len(lx)
 
     def residuals(px: float, py: float, pt: float):

@@ -22,9 +22,11 @@ def initialize_map(f1: Frame, f2: Frame, alloc: IdAllocator) -> Map:
     Raises InsufficientParallax when fewer than 20 landmarks are shared
     or the relative motion is under 1 cm.
     """
-    obs1 = {o.landmark_id: o for o in f1.observations}
-    obs2 = {o.landmark_id: o for o in f2.observations}
-    common = sorted(set(obs1) & set(obs2))
+    # The checks read only the id columns: a lost tracker retries every
+    # frame, and most attempts fail them.
+    row1 = {lm: row for row, lm in enumerate(f1.landmark_ids.tolist())}
+    row2 = {lm: row for row, lm in enumerate(f2.landmark_ids.tolist())}
+    common = sorted(row1.keys() & row2.keys())
     if len(common) < MIN_COMMON_LANDMARKS:
         raise InsufficientParallax(
             f"{len(common)} common landmarks < {MIN_COMMON_LANDMARKS}"
@@ -42,15 +44,17 @@ def initialize_map(f1: Frame, f2: Frame, alloc: IdAllocator) -> Map:
     m.keyframes[kf1.id] = kf1
     m.keyframes[kf2.id] = kf2
 
+    obs1, obs2 = f1.observations, f2.observations
     for lm in common:
+        o1, o2 = obs1[row1[lm]], obs2[row2[lm]]
         mp_id = alloc.next_map_point_id()
-        x1, y1 = back_project(pose1, obs1[lm].range, obs1[lm].bearing)
-        x2, y2 = back_project(pose2, obs2[lm].range, obs2[lm].bearing)
+        x1, y1 = back_project(pose1, o1.range, o1.bearing)
+        x2, y2 = back_project(pose2, o2.range, o2.bearing)
         mp = MapPoint(mp_id, 0.5 * (x1 + x2), 0.5 * (y1 + y2), lm,
                       observers={kf1.id, kf2.id})
         m.map_points[mp_id] = mp
-        kf1.observations[mp_id] = obs1[lm]
-        kf2.observations[mp_id] = obs2[lm]
+        kf1.observations[mp_id] = o1
+        kf2.observations[mp_id] = o2
 
     kf1.ref_point_count = len(common)
     kf2.ref_point_count = len(common)

@@ -8,6 +8,8 @@ drift accumulates and long-term loop detection has something to find.
 
 from __future__ import annotations
 
+import numpy as np
+
 from meshslam.core import covis
 from meshslam.core.bundle import track_pose
 from meshslam.core.types import (
@@ -15,7 +17,6 @@ from meshslam.core.types import (
     KeyFrame,
     Map,
     MapPoint,
-    Observation,
     TrackResult,
     TrackStatus,
 )
@@ -46,11 +47,12 @@ def track_frame(m: Map, last_pose: Pose2, frame: Frame,
         (mp.origin_landmark, mp_id) for mp_id in sorted(candidate_ids)
         if (mp := map_points_get(mp_id)) is not None]))
 
-    matches: dict[int, Observation] = {}
-    for obs in frame.observations:
-        mp_id = visible.get(obs.landmark_id)
+    # Map point id -> the row of the frame that observes its landmark.
+    matches: dict[int, int] = {}
+    for row, landmark_id in enumerate(frame.landmark_ids.tolist()):
+        mp_id = visible.get(landmark_id)
         if mp_id is not None:
-            matches[mp_id] = obs
+            matches[mp_id] = row
 
     ref_id = recent[0] if recent else m.latest_keyframe_ids(1)[0]
     ref_count = max(1, keyframes[ref_id].ref_point_count)
@@ -60,12 +62,13 @@ def track_frame(m: Map, last_pose: Pose2, frame: Frame,
         return TrackResult(TrackStatus.LOST, last_pose, matches, ratio)
 
     guess = last_pose.compose(frame.odometry_delta)
-    rows = []
-    for mp_id in sorted(matches):
-        mp = map_points[mp_id]
-        o = matches[mp_id]
-        rows.append((mp.x, mp.y, o.range, o.bearing))
-    pose, diverged = track_pose(rows, guess)
+    mp_ids = sorted(matches)
+    points = [map_points[mp_id] for mp_id in mp_ids]
+    rows = [matches[mp_id] for mp_id in mp_ids]
+    pose, diverged = track_pose(np.array([mp.x for mp in points]),
+                                np.array([mp.y for mp in points]),
+                                frame.ranges[rows], frame.bearings[rows],
+                                guess)
     if diverged:
         return TrackResult(TrackStatus.LOST, pose, matches, ratio, diverged=True)
     return TrackResult(TrackStatus.OK, pose, matches, ratio)
@@ -86,14 +89,14 @@ def create_keyframe(frame: Frame, tr: TrackResult, alloc: IdAllocator,
     """Insert a keyframe for a tracked frame; unmatched observations
     spawn new map points back-projected from the tracked pose."""
     kf_id = alloc.next_keyframe_id()
-    observations: dict[int, Observation] = dict(tr.matches)
-    matched_landmarks = {o.landmark_id for o in tr.matches.values()}
+    frame_obs = frame.observations
+    observations = {mp_id: frame_obs[row] for mp_id, row in tr.matches.items()}
+    matched_rows = set(tr.matches.values())
 
     new_points: list[MapPoint] = []
-    for obs in frame.observations:
-        if obs.landmark_id in matched_landmarks:
+    for row, obs in enumerate(frame_obs):
+        if row in matched_rows:
             continue
-        matched_landmarks.add(obs.landmark_id)
         mp_id = alloc.next_map_point_id()
         x, y = back_project(tr.pose, obs.range, obs.bearing)
         new_points.append(MapPoint(mp_id, x, y, obs.landmark_id, observers={kf_id}))

@@ -11,6 +11,8 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from meshslam.geometry import Pose2
 from meshslam.ids import KeyFrameId, MapId
 
@@ -48,14 +50,65 @@ class Observation:
     bearing: float
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, eq=False)
 class Frame:
-    """Sensor input at one timestep: noisy odometry plus observations."""
+    """Sensor input at one timestep: noisy odometry plus observations.
+
+    The observations are three columns of one length, row i being one
+    measurement: ``landmark_ids`` (int64, strictly ascending), ``ranges``
+    and ``bearings`` (float64). A frame holds its columns read-only: the
+    constructor clears their writeable flag. The columns are what the
+    pipeline reads; ``observations`` builds the ``Observation`` tuple on
+    demand, and ``from_observations`` builds a frame from one. Two frames
+    are equal when their scalars are and their columns have the same
+    dtypes and bytes.
+    """
 
     frame_id: int
     timestamp: float
     odometry_delta: Pose2
-    observations: tuple[Observation, ...]
+    landmark_ids: np.ndarray
+    ranges: np.ndarray
+    bearings: np.ndarray
+
+    def __post_init__(self) -> None:
+        ids, ranges, bearings = self.landmark_ids, self.ranges, self.bearings
+        if not (ids.dtype == np.int64 and ranges.dtype == np.float64
+                and bearings.dtype == np.float64):
+            raise ValueError("frame columns must be int64, float64, float64")
+        if not (ids.ndim == ranges.ndim == bearings.ndim == 1
+                and len(ids) == len(ranges) == len(bearings)):
+            raise ValueError("frame columns must be 1-D and of one length")
+        if len(ids) > 1 and not (ids[1:] > ids[:-1]).all():
+            raise ValueError("frame landmark ids must be strictly ascending")
+        for column in (ids, ranges, bearings):
+            column.flags.writeable = False
+
+    @classmethod
+    def from_observations(cls, frame_id: int, timestamp: float,
+                          odometry_delta: Pose2,
+                          observations: tuple[Observation, ...]) -> Frame:
+        return cls(frame_id, timestamp, odometry_delta,
+                   np.array([o.landmark_id for o in observations],
+                            dtype=np.int64),
+                   np.array([o.range for o in observations], dtype=np.float64),
+                   np.array([o.bearing for o in observations],
+                            dtype=np.float64))
+
+    @property
+    def observations(self) -> tuple[Observation, ...]:
+        return tuple(map(Observation, self.landmark_ids.tolist(),
+                         self.ranges.tolist(), self.bearings.tolist()))
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Frame):
+            return NotImplemented
+        return ((self.frame_id, self.timestamp, self.odometry_delta)
+                == (other.frame_id, other.timestamp, other.odometry_delta)
+                and all(a.dtype == b.dtype and a.tobytes() == b.tobytes()
+                        for a, b in ((self.landmark_ids, other.landmark_ids),
+                                     (self.ranges, other.ranges),
+                                     (self.bearings, other.bearings))))
 
 
 @dataclass(slots=True)
@@ -102,7 +155,7 @@ class TrackStatus(enum.Enum):
 class TrackResult:
     status: TrackStatus
     pose: Pose2
-    matches: dict[int, Observation]
+    matches: dict[int, int]  # map point id -> row of the tracked frame
     tracked_ratio: float
     diverged: bool = False
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import io
+import math
 import random
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -187,27 +188,43 @@ def run_distributed(spec: ScenarioSpec, topology: TopologySpec,
 
 
 def load_fault_schedule(path: str) -> list[FaultEvent]:
-    """One event per line: `<at_ms> <kind> <args>`; '#' comments allowed."""
+    """One event per line: ``<at_ms> <kind> <roles>``; '#' comments allowed.
+
+    ``at_ms`` is a finite time >= 0. ``crash`` and ``recover`` name one or
+    more roles, ``partition`` one or more role pairs, and ``heal`` role
+    pairs or none (heal every link). A line that breaks these rules raises
+    ValueError naming its line number.
+    """
     out: list[FaultEvent] = []
-    for raw in Path(path).read_text().splitlines():
+    for number, raw in enumerate(Path(path).read_text().splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        tokens = line.split()
-        at = float(tokens[0])
-        kind = tokens[1].lower()
-        args = tokens[2:]
-        if kind in ("crash", "recover"):
-            out.append(FaultEvent(at, kind,
-                                  roles=tuple(Role.from_name(a) for a in args)))
-        elif kind in ("partition", "heal"):
-            links = tuple((Role.from_name(args[i]), Role.from_name(args[i + 1]))
-                          for i in range(0, len(args), 2))
-            out.append(FaultEvent(at, kind, links=links))
-        else:
-            raise ValueError(f"unknown fault kind {kind!r}")
+        try:
+            out.append(_fault_event(line.split()))
+        except ValueError as exc:
+            raise ValueError(f"{path}, line {number}: {exc}: {raw!r}") from None
     out.sort(key=lambda ev: ev.at_ms)
     return out
+
+
+def _fault_event(tokens: list[str]) -> FaultEvent:
+    if len(tokens) < 2:
+        raise ValueError("missing fault kind")
+    at = float(tokens[0])
+    if not (math.isfinite(at) and at >= 0):
+        raise ValueError(f"time must be finite and >= 0: {tokens[0]!r}")
+    kind = tokens[1].lower()
+    roles = tuple(Role.from_name(a) for a in tokens[2:])
+    if kind in ("crash", "recover"):
+        if not roles:
+            raise ValueError(f"{kind} names no role")
+        return FaultEvent(at, kind, roles=roles)
+    if kind in ("partition", "heal"):
+        if len(roles) % 2 or (kind == "partition" and not roles):
+            raise ValueError(f"{kind} needs role pairs, got {len(roles)} roles")
+        return FaultEvent(at, kind, links=tuple(zip(roles[::2], roles[1::2])))
+    raise ValueError(f"unknown fault kind {kind!r}")
 
 
 CSV_HEADER = ("scenario,nodes,ate_m,failures,bw_tr_mbps,bw_lm_mbps,"

@@ -13,6 +13,11 @@ scalar draws it replaces; ``0.0 + sigma * z`` is the IEEE operation
 ``math.hypot``/``math.atan2`` mapped over Python floats: numpy's
 ``hypot`` and ``arctan2`` differ from them in the last bit on some
 inputs, and frames must equal those of a per-landmark scalar loop.
+
+A frame keeps its observations as the id, range and bearing arrays the
+generator computes (see ``Frame``), not as one ``Observation`` object per
+measurement: a long run holds tens of thousands of measurements, and the
+arrays take a fraction of the objects' memory.
 """
 
 from __future__ import annotations
@@ -25,7 +30,7 @@ from pathlib import Path
 import numpy as np
 
 from meshslam.config import parse_kv_file
-from meshslam.core.types import Frame, Observation, SlamError
+from meshslam.core.types import Frame, SlamError
 from meshslam.geometry import Pose2, wrap_angle
 
 FRAME_RATE_HZ = 20.0
@@ -197,9 +202,9 @@ def _wrap_angles(t: np.ndarray) -> np.ndarray:
 
 def _observe(spec: ScenarioSpec, rng: np.random.Generator, pose: Pose2,
              ids: np.ndarray, lx: np.ndarray, ly: np.ndarray
-             ) -> tuple[Observation, ...]:
-    """Noisy range-bearing observations of landmarks ``ids`` (ascending),
-    drawing the frame's noise block."""
+             ) -> tuple[np.ndarray, np.ndarray]:
+    """Noisy ranges and bearings of landmarks ``ids`` (ascending), drawing
+    the frame's noise block."""
     dx = (lx[ids] - pose.x).tolist()
     dy = (ly[ids] - pose.y).tolist()
     r = np.array(list(map(math.hypot, dx, dy)))
@@ -212,8 +217,7 @@ def _observe(spec: ScenarioSpec, rng: np.random.Generator, pose: Pose2,
         if spec.sigma_bearing > 0:
             b = b + (0.0 + spec.sigma_bearing * next(columns))
     r[r <= 0.0] = 1e-6
-    return tuple(map(Observation, ids.tolist(), r.tolist(),
-                     _wrap_angles(b).tolist()))
+    return r, _wrap_angles(b)
 
 
 def generate_scenario(spec: ScenarioSpec
@@ -230,6 +234,9 @@ def generate_scenario(spec: ScenarioSpec
     sorted_x = lx[by_x]
     reach = spec.sensor_range + 1.0
 
+    # Frames that see nothing share one set of (read-only) empty columns.
+    no_ids, no_values = np.empty(0, dtype=np.int64), np.empty(0)
+
     frames: list[Frame] = []
     ground_truth = []
     any_obs = False
@@ -244,7 +251,7 @@ def generate_scenario(spec: ScenarioSpec
             noise = rng.normal(0.0, spec.sigma_odometry, 3)
             delta = Pose2(delta.x + noise[0], delta.y + noise[1],
                           wrap_angle(delta.theta + noise[2]))
-        observations: tuple[Observation, ...] = ()
+        ids, ranges, bearings = no_ids, no_values, no_values
         if k not in blackout:
             lo, hi = np.searchsorted(sorted_x, (pose.x - reach, pose.x + reach))
             near = by_x[lo:hi]
@@ -252,11 +259,12 @@ def generate_scenario(spec: ScenarioSpec
             # Back to ascending id order, which is the noise draw order.
             visible = np.zeros(spec.landmark_count, dtype=bool)
             visible[near[dist <= spec.sensor_range]] = True
-            ids = np.flatnonzero(visible)
-            if len(ids):
-                observations = _observe(spec, rng, pose, ids, lx, ly)
+            seen = np.flatnonzero(visible)
+            if len(seen):
+                ids = seen
+                ranges, bearings = _observe(spec, rng, pose, ids, lx, ly)
                 any_obs = True
-        frames.append(Frame(k, t, delta, observations))
+        frames.append(Frame(k, t, delta, ids, ranges, bearings))
         prev = pose
     if not any_obs:
         raise EmptyWorld("no landmark observable in any frame")

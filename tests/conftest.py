@@ -41,7 +41,8 @@ def observe(pose: Pose2, landmarks: dict[int, tuple[float, float]],
 def make_frame(frame_id: int, pose: Pose2, prev_pose: Pose2 | None,
                landmarks, **kw) -> Frame:
     delta = Pose2() if prev_pose is None else pose.relative_to(prev_pose)
-    return Frame(frame_id, frame_id / 20.0, delta, observe(pose, landmarks, **kw))
+    return Frame.from_observations(frame_id, frame_id / 20.0, delta,
+                                   observe(pose, landmarks, **kw))
 
 
 @pytest.fixture

@@ -61,3 +61,31 @@ def test_directions_come_from_the_checkouts_benchmark_file():
     better = ab_pairs.directions(SCRIPT.parents[1])
     assert better["frames_per_s"] == "higher"
     assert better["setup_s"] == "lower"
+
+
+def test_claim_stands_only_on_nine_tenths_of_wins_beyond_the_spread():
+    # frames_per_s: the change wins 9 of 10 pairs by about 20 1/s, far
+    # beyond the parent's quartile spread. setup_s: the change wins every
+    # pair, but by 0.001 s against a parent spread of about 0.1 s.
+    parent_fps = [100.0, 102.0, 98.0, 101.0, 99.0,
+                  100.0, 103.0, 97.0, 100.0, 101.0]
+    change_fps = [120.0, 121.0, 119.0, 122.0, 118.0,
+                  120.0, 121.0, 119.0, 120.0, 96.0]
+    parent_setup = [0.5, 0.7, 0.6, 0.5, 0.7, 0.6, 0.5, 0.7, 0.6, 0.6]
+    pairs = [(_result(pf, ps), _result(cf, ps - 0.001))
+             for pf, cf, ps in zip(parent_fps, change_fps, parent_setup)]
+    lines, ok = ab_pairs.summarize(pairs, BETTER)
+    assert ok
+    assert lines[0].split()[-3:] == ["claim", "change", "won"]
+    rows = {line.split()[0]: line.split() for line in lines[1:]}
+    assert rows["frames_per_s"][-5:] == ["stands", "9/10", "(higher", "is",
+                                         "better)"]
+    assert rows["setup_s"][-5:] == ["fails", "10/10", "(lower", "is",
+                                    "better)"]
+    assert rows["peak_rss_mb"][-2:] == ["-", "-"]
+    # The same wins over fewer than 10 pairs, or on 8 of 10, do not stand.
+    lines, _ = ab_pairs.summarize(pairs[:9], BETTER)
+    assert lines[1].split()[-5] == "fails"
+    pairs[0] = (_result(100.0, 0.5), _result(90.0, 0.499))
+    lines, _ = ab_pairs.summarize(pairs, BETTER)
+    assert lines[1].split()[-5:-3] == ["fails", "8/10"]

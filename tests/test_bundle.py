@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from meshslam.core import (
     map_cost,
     track_frame,
 )
+from meshslam.core import bundle
 from meshslam.core.bundle import _Problem
 from meshslam.core.types import (
     MapPoint,
@@ -420,3 +422,87 @@ def test_guard_drops_near_pairs_and_orphaned_points():
         mp = m.map_points[p]
         assert abs(mp.x - x_star[c]) < 1e-6
         assert abs(mp.y - x_star[c + 1]) < 1e-6
+
+
+def _chain_state(m):
+    """Every pose and point coordinate of a map, as bytes."""
+    kfs = [(kf.pose.x, kf.pose.y, kf.pose.theta)
+           for _, kf in sorted(m.keyframes.items())]
+    mps = [(mp.x, mp.y) for _, mp in sorted(m.map_points.items())]
+    return np.array(kfs).tobytes() + np.array(mps).tobytes()
+
+
+def _recorded_gba(m, monkeypatch):
+    """Run global_bundle_adjust on m, recording every reduced system S
+    handed to the Cholesky factorization and every step."""
+    systems, steps = [], []
+    cholesky, step = np.linalg.cholesky, bundle._Problem.step
+
+    def recording_cholesky(a):
+        systems.append(a.copy())
+        return cholesky(a)
+
+    def recording_step(self, x):
+        out = step(self, x)
+        steps.append(out.copy())
+        return out
+
+    with monkeypatch.context() as patch:
+        patch.setattr(np.linalg, "cholesky", recording_cholesky)
+        patch.setattr(bundle._Problem, "step", recording_step)
+        global_bundle_adjust(m)
+    return systems, steps
+
+
+def _noisy_chain(n_kfs, n_landmarks, seed):
+    m, _ = build_chain(n_kfs, grid_landmarks(n_landmarks, spacing=0.9),
+                       IdAllocator(1), rng=np.random.default_rng(seed),
+                       sigma_r=0.02, sigma_b=0.01)
+    return m
+
+
+def _gba_problem(m):
+    kfs = sorted(m.keyframes)
+    return _Problem(m, [k for k in kfs if k != m.origin_kf],
+                    sorted(m.map_points))
+
+
+def test_row_blocks_sum_s_bitwise_as_one_block(monkeypatch):
+    one = _noisy_chain(8, 40, seed=41)
+    split = _noisy_chain(8, 40, seed=41)
+    assert _chain_state(one) == _chain_state(split)
+    p = _gba_problem(one)
+    assert len(p._blocks) == 1
+    # The origin's rows are fixed anchors beside the free ones.
+    assert p.free_mask.any() and not p.free_mask.all()
+    systems_one, steps_one = _recorded_gba(one, monkeypatch)
+
+    monkeypatch.setattr(bundle, "SCHUR_BLOCK_PAIRS", 600)
+    blocks = _gba_problem(split)._blocks
+    assert len(blocks) >= 3 and any(hi - lo > 1 for lo, hi in blocks)
+    systems_split, steps_split = _recorded_gba(split, monkeypatch)
+
+    assert len(systems_one) == len(systems_split) > 1
+    for a, b in zip(systems_one, systems_split):
+        assert a.tobytes() == b.tobytes()
+    assert len(steps_one) == len(steps_split)
+    for a, b in zip(steps_one, steps_split):
+        assert a.tobytes() == b.tobytes()
+    assert _chain_state(one) == _chain_state(split)
+
+
+def test_gba_peak_memory_is_bounded_by_the_row_blocks():
+    m = _noisy_chain(30, 64, seed=43)
+    p = _gba_problem(m)
+    n_pairs = int(np.bincount(p.free_mp)[p.free_mp].sum())
+    assert n_pairs >= 50_000
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        global_bundle_adjust(m)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    # Row blocks trace about 2.1 MB here; summing every pair at once
+    # traced 18.4 MB.
+    assert peak < 6e6, peak

@@ -1,11 +1,14 @@
 """Fault-injection scenarios beyond the acceptance minimum."""
 
+from pathlib import Path
+
 import pytest
 
 from meshslam.config import LinkProfile, NodeConfig, TopologySpec
 from meshslam.policy import Role
-from meshslam.runner import run_centralized, run_distributed
+from meshslam.runner import load_fault_schedule, run_centralized, run_distributed
 from meshslam.scenarios import TrajectoryKind, default_scenario
+from meshslam.simnet import FaultEvent
 
 TR, LM, LC = Role.TRACKING, Role.MAPPING, Role.LOOP
 
@@ -106,3 +109,52 @@ def test_short_lm_cut_cancels_a_stale_takeover(tmp_path, seed, duties):
     assert cancelled == duties
     assert not result.metrics.diverged
     assert len(set(result.metrics.digests.values())) == 1
+
+
+REPO = Path(__file__).resolve().parent.parent
+
+
+@pytest.mark.parametrize("path", ["configs/crash_lm.faults",
+                                  "perfbench/crash_lm_recover.faults"])
+def test_committed_fault_files_load(path):
+    events = load_fault_schedule(str(REPO / path))
+    assert events and all(ev.kind in ("crash", "recover") for ev in events)
+    assert all(ev.roles == (LM,) for ev in events)
+
+
+def test_fault_schedule_reads_every_kind(tmp_path):
+    faults = tmp_path / "faults.txt"
+    faults.write_text("# comment\n"
+                      "3000 heal\n"
+                      "2000 partition tr lm lm lc  # two links\n"
+                      "0 crash lc\n"
+                      "2500 heal tr lm\n"
+                      "1000 recover lc\n")
+    assert load_fault_schedule(str(faults)) == [
+        FaultEvent(0.0, "crash", roles=(LC,)),
+        FaultEvent(1000.0, "recover", roles=(LC,)),
+        FaultEvent(2000.0, "partition", links=((TR, LM), (LM, LC))),
+        FaultEvent(2500.0, "heal", links=((TR, LM),)),
+        FaultEvent(3000.0, "heal"),
+    ]
+
+
+@pytest.mark.parametrize("line, reason", [
+    ("1000", "missing fault kind"),
+    ("1000 partition tr", "role pairs"),
+    ("nan crash lm", "finite"),
+    ("inf heal tr lm", "finite"),
+    ("-5 crash lm", ">= 0"),
+    ("1000 crash", "names no role"),
+    ("1000 recover", "names no role"),
+    ("1000 partition", "role pairs"),
+    ("1000 heal tr lm lc", "role pairs"),
+    ("soon crash lm", "could not convert"),
+    ("1000 crash xx", "unknown role"),
+    ("1000 explode lm", "unknown fault kind"),
+])
+def test_malformed_fault_line_names_its_line(tmp_path, line, reason):
+    faults = tmp_path / "faults.txt"
+    faults.write_text(f"# header\n0 crash lm\n{line}\n")
+    with pytest.raises(ValueError, match=f"line 3: .*{reason}"):
+        load_fault_schedule(str(faults))

@@ -30,7 +30,7 @@ def test_zero_motion_rejected(alloc):
     landmarks = grid_landmarks(30)
     p = Pose2(0, 0, 0)
     f1 = make_frame(0, p, None, landmarks)
-    f2 = Frame(1, 0.05, Pose2(), f1.observations)
+    f2 = Frame.from_observations(1, 0.05, Pose2(), f1.observations)
     with pytest.raises(InsufficientParallax):
         initialize_map(f1, f2, alloc)
 

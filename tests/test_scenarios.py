@@ -78,7 +78,8 @@ def test_frames_run_at_20_hz():
 def reference_generate(spec: ScenarioSpec):
     """The per-landmark scalar loop the generator's noise blocks replace:
     all-landmark distance test, one ``rng.normal`` per sigma per visible
-    landmark, scalar ``range_bearing``."""
+    landmark, scalar ``range_bearing``. Frames come as (frame_id,
+    timestamp, odometry_delta, observations) tuples."""
     rng = np.random.Generator(np.random.PCG64(spec.seed))
     x0, y0, x1, y1 = spec.bbox
     lx = rng.uniform(x0, x1, spec.landmark_count)
@@ -108,7 +109,7 @@ def reference_generate(spec: ScenarioSpec):
                 if r <= 0.0:
                     r = 1e-6
                 observations.append(Observation(int(idx), r, wrap_angle(b)))
-        frames.append(Frame(k, t, delta, tuple(observations)))
+        frames.append((k, t, delta, tuple(observations)))
         prev = pose
     return frames, ground_truth
 
@@ -139,10 +140,54 @@ IDENTITY_SPECS = [
                          f"{s.n_frames}-{s.sigma_range}-{s.sigma_bearing}-"
                          f"{s.sensor_range}")
 def test_generator_equals_scalar_reference(spec):
-    got = generate_scenario(spec)
-    want = reference_generate(spec)
+    frames, ground_truth = generate_scenario(spec)
+    want, want_truth = reference_generate(spec)
+    assert ground_truth == want_truth
+    assert repr(ground_truth) == repr(want_truth)
+    got = [(f.frame_id, f.timestamp, f.odometry_delta, f.observations)
+           for f in frames]
     assert got == want
     assert repr(got) == repr(want)
+    assert frames == [Frame.from_observations(*row) for row in want]
+
+
+def test_frame_columns_are_read_only():
+    frames, _ = generate_scenario(default_scenario(TrajectoryKind.LOOP,
+                                                   n_frames=4))
+    frame = frames[1]
+    assert len(frame.landmark_ids) > 0
+    for column in (frame.landmark_ids, frame.ranges, frame.bearings):
+        with pytest.raises(ValueError, match="read-only"):
+            column[0] = 0
+    built = Frame.from_observations(0, 0.0, Pose2(),
+                                    (Observation(3, 1.0, 0.5),))
+    with pytest.raises(ValueError, match="read-only"):
+        built.ranges[0] = 2.0
+
+
+def test_frame_equality_compares_column_bytes():
+    obs = (Observation(1, 2.0, 0.0), Observation(4, 3.0, -0.5))
+    frame = Frame.from_observations(7, 0.35, Pose2(0.1, 0.0, 0.0), obs)
+    assert frame == Frame.from_observations(7, 0.35, Pose2(0.1, 0.0, 0.0), obs)
+    # -0.0 == 0.0 as a float, but not as bytes.
+    assert frame != Frame.from_observations(
+        7, 0.35, Pose2(0.1, 0.0, 0.0), (Observation(1, 2.0, -0.0), obs[1]))
+    assert frame != Frame.from_observations(7, 0.35, Pose2(0.1, 0.0, 0.0),
+                                            obs[:1])
+    assert frame != Frame.from_observations(8, 0.35, Pose2(0.1, 0.0, 0.0), obs)
+
+
+@pytest.mark.parametrize("ids, ranges, bearings, match", [
+    (np.array([2, 1]), np.ones(2), np.zeros(2), "ascending"),
+    (np.array([1, 1]), np.ones(2), np.zeros(2), "ascending"),
+    (np.array([1, 2], dtype=np.int32), np.ones(2), np.zeros(2), "int64"),
+    (np.array([1, 2]), np.ones(2, dtype=np.float32), np.zeros(2), "int64"),
+    (np.array([1, 2]), np.ones(3), np.zeros(2), "one length"),
+    (np.array([[1, 2]]), np.ones((1, 2)), np.zeros((1, 2)), "1-D"),
+])
+def test_frame_rejects_malformed_columns(ids, ranges, bearings, match):
+    with pytest.raises(ValueError, match=match):
+        Frame(0, 0.0, Pose2(), ids, ranges, bearings)
 
 
 def test_identity_specs_cover_empty_frames_and_clamp():

@@ -84,7 +84,8 @@ def test_noisy_track_matches_grid_oracle(alloc):
     rows = []
     for mp_id in sorted(tr.matches):
         mp = m.map_points[mp_id]
-        o = tr.matches[mp_id]
+        o = f3.observations[tr.matches[mp_id]]
+        assert mp.origin_landmark == o.landmark_id
         rows.append((mp.x, mp.y, o.range, o.bearing))
     gx, gy, gt = grid_refine_oracle(rows, (p3.x, p3.y, p3.theta))
     assert math.hypot(tr.pose.x - gx, tr.pose.y - gy) < 2e-3
@@ -118,11 +119,22 @@ def test_create_keyframe_spawns_unmatched_points(alloc):
     tr = track_frame(m, p2, f3, window=10)
     assert tr.status is TrackStatus.OK
 
-    # Oracle: the set difference of landmark ids decides new points.
-    matched_landmarks = {o.landmark_id for o in tr.matches.values()}
-    expected_new = {o.landmark_id for o in f3.observations} - matched_landmarks
+    # Oracle: the set difference of landmark ids decides new points. A
+    # match names the frame row of its observation.
+    frame_obs = f3.observations
+    matched = {mp_id: frame_obs[row] for mp_id, row in tr.matches.items()}
+    matched_landmarks = {o.landmark_id for o in matched.values()}
+    assert all(m.map_points[mp_id].origin_landmark == o.landmark_id
+               for mp_id, o in matched.items())
+    expected_new = {o.landmark_id for o in frame_obs} - matched_landmarks
     kf, new_points = create_keyframe(f3, tr, alloc, m)
     assert {mp.origin_landmark for mp in new_points} == expected_new
+    # The keyframe keeps each matched row's measurement under its map
+    # point, and each unmatched row's under the point it spawned.
+    assert {mp_id: kf.observations[mp_id] for mp_id in matched} == matched
+    by_landmark = {o.landmark_id: o for o in frame_obs}
+    for mp in new_points:
+        assert kf.observations[mp.id] == by_landmark[mp.origin_landmark]
     assert len(kf.observations) == len(tr.matches) + len(new_points)
     assert kf.ref_point_count == len(tr.matches) + len(new_points)
     assert m.keyframes[kf.id] is kf
