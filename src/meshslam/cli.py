@@ -67,11 +67,23 @@ def _cmd_report(args: argparse.Namespace) -> int:
     if args.format == "csv":
         sys.stdout.write(content)
         return 0
-    header, row = content.strip().split("\n")
-    if header != CSV_HEADER:
+    lines = content.strip().split("\n")
+    if lines == [""]:
+        sys.stderr.write(f"{metrics_file} is empty\n")
+        return 1
+    if lines[0] != CSV_HEADER:
         sys.stderr.write("unrecognized metrics header\n")
         return 1
-    for key, value in zip(header.split(","), row.split(",")):
+    if len(lines) != 2:
+        sys.stderr.write(f"metrics.csv holds {len(lines) - 1} data rows, "
+                         "expected 1\n")
+        return 1
+    keys, values = CSV_HEADER.split(","), lines[1].split(",")
+    if len(values) != len(keys):
+        sys.stderr.write(f"metrics row has {len(values)} fields, the header "
+                         f"{len(keys)}\n")
+        return 1
+    for key, value in zip(keys, values):
         sys.stdout.write(f"{key:>15}: {value}\n")
     return 0
 

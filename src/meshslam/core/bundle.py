@@ -7,14 +7,20 @@ iterations never increase cost. A first iteration whose point blocks or
 reduced system are not positive definite reports a singular system and
 leaves the map intact.
 
-A problem is gathered from the map once, in one pass over its free map
-points, into flat per-residual arrays. An observation whose observer
-stands closer than ``MIN_BA_RANGE`` to its point is left out, since its
-bearing Jacobian grows as the inverse of that distance, and a free point
-left with no observation is not a variable. Each iteration writes the
-products of every observation's 2x5 Jacobian block in closed form and
-sums them with ``np.bincount``, which adds in index order, into 3x3 pose
-blocks U, 2x2 point blocks V, one 3x2 pose-point block W per
+A problem is gathered from the map once into flat per-residual arrays:
+one pass walks the observers of the free map points in ascending id
+order and reads each one's observation columns, keeping the rows of
+free points, and a counting pass then places the rows point by point,
+each point's rows in ascending observer order. Ranges and bearings are
+taken by indexing the columns, so the gather builds neither a Python
+number per row nor a lookup table per keyframe, which would add to the
+peak memory of a loop closure's adjustment. An observation whose
+observer stands closer than ``MIN_BA_RANGE`` to its point is left out,
+since its bearing Jacobian grows as the inverse of that distance, and a
+free point left with no observation is not a variable. Each iteration
+writes the products of every observation's 2x5 Jacobian block in closed
+form and sums them with ``np.bincount``, which adds in index order, into
+3x3 pose blocks U, 2x2 point blocks V, one 3x2 pose-point block W per
 observation by a free keyframe, and the two gradient halves. The step
 eliminates the points (Triggs et al., "Bundle Adjustment - A Modern
 Synthesis", 1999, section 6): each V is inverted in closed form, the
@@ -71,50 +77,73 @@ class _Problem:
         n_kfs = len(free_kfs)
         kf_slot = {kid: i for i, kid in enumerate(free_kfs)}
 
-        # One row per residual pair: (kf slot or -1, point slot, observer
-        # pose x, y, theta, range, bearing).
-        rows: list[tuple] = []
-        append = rows.append
-        keyframes_get = m.keyframes.get
-        kf_slot_get = kf_slot.get
-        kept: list[int] = []
-        for mid in free_mps:
-            mp = m.map_points[mid]
-            slot = len(kept)
-            n_before = len(rows)
-            for kid in sorted(mp.observers):
-                kf = keyframes_get(kid)
-                if kf is None:
+        # The observers of the free points, walked once in ascending id
+        # order: each one's rows of free points, with the point's index in
+        # free_mps, and its pose.
+        map_points, keyframes_get = m.map_points, m.keyframes.get
+        points = [map_points[mid] for mid in free_mps]
+        point_index = {mid: j for j, mid in enumerate(free_mps)}.get
+        observers: set[KeyFrameId] = set()
+        for mp in points:
+            observers |= mp.observers
+        sources: list[tuple[int, float, float, float]] = []  # slot, pose
+        per_source: list[int] = []
+        row_point: list[int] = []
+        ranges, bearings = [np.empty(0)], [np.empty(0)]
+        for kid in sorted(observers):
+            kf = keyframes_get(kid)
+            if kf is None:
+                continue
+            p = kf.pose
+            rows = []
+            for row, mid in enumerate(kf.mp_ids.tolist()):
+                j = point_index(mid)
+                if j is None:
                     continue
-                o = kf.observations.get(mid)
-                if o is None:
+                mp = points[j]
+                if (kid not in mp.observers
+                        or math.hypot(mp.x - p.x, mp.y - p.y) < MIN_BA_RANGE):
                     continue
-                p = kf.pose
-                if math.hypot(mp.x - p.x, mp.y - p.y) < MIN_BA_RANGE:
-                    continue
-                append((kf_slot_get(kid, -1), slot, p.x, p.y, p.theta,
-                        o.range, o.bearing))
-            if len(rows) > n_before:
-                kept.append(mid)
-        self.free_mps = kept
-        n_mps = len(kept)
+                rows.append(row)
+                row_point.append(j)
+            if rows:
+                sources.append((kf_slot.get(kid, -1), p.x, p.y, p.theta))
+                per_source.append(len(rows))
+                ranges.append(kf.ranges[rows])
+                bearings.append(kf.bearings[rows])
+        # Rows go point-major, each point's rows in ascending observer order
+        # as walked: a counting pass gives every row its place.
+        per_point = np.bincount(np.array(row_point, dtype=np.intp),
+                                minlength=len(free_mps))
+        place = (np.cumsum(per_point) - per_point).tolist()
+        order = [0] * len(row_point)
+        for i, j in enumerate(row_point):
+            order[place[j]] = i
+            place[j] += 1
+        order = np.array(order, dtype=np.intp)
+        # A free point left with no row is no variable.
+        kept = per_point > 0
+        self.free_mps = [mid for mid, keep in zip(free_mps, kept.tolist())
+                         if keep]
+        n_mps = len(self.free_mps)
         self.n_vars = 3 * n_kfs + 2 * n_mps
 
-        self.n_obs = len(rows)
-        table = np.array(rows, dtype=float).reshape(self.n_obs, 7).T
-        self.kf_slot = table[0].astype(int)
-        self.mp_slot = table[1].astype(int)
+        self.n_obs = len(order)
+        source = np.repeat(np.array(sources, dtype=float).reshape(-1, 4),
+                           per_source, axis=0)[order]
+        self.kf_slot = source[:, 0].astype(int)
+        self.mp_slot = np.repeat(np.arange(n_mps), per_point[kept])
         self.free_mask = self.kf_slot >= 0
         self.any_free = bool(self.free_mask.any())
         # The gather index of _geometry: fixed rows read slot 0 and are
         # then replaced by their own pose.
         self._kf_col = 3 * np.where(self.free_mask, self.kf_slot, 0)
         self._mp_col = 3 * n_kfs + 2 * self.mp_slot
-        self.fixed_x = np.where(self.free_mask, 0.0, table[2])
-        self.fixed_y = np.where(self.free_mask, 0.0, table[3])
-        self.fixed_t = np.where(self.free_mask, 0.0, table[4])
-        self.obs_range = table[5].copy()
-        self.obs_bearing = table[6].copy()
+        self.fixed_x = np.where(self.free_mask, 0.0, source[:, 1])
+        self.fixed_y = np.where(self.free_mask, 0.0, source[:, 2])
+        self.fixed_t = np.where(self.free_mask, 0.0, source[:, 3])
+        self.obs_range = np.concatenate(ranges)[order]
+        self.obs_bearing = np.concatenate(bearings)[order]
 
         # Rows observed by a free keyframe, with their slots. Rows come in
         # point order, so the free rows of one point are contiguous.
@@ -401,7 +430,7 @@ def local_bundle_adjust(m: Map, center: KeyFrameId,
 
     mp_ids: set[int] = set()
     for kid in window:
-        mp_ids |= set(m.keyframes[kid].observations)
+        mp_ids.update(m.keyframes[kid].mp_ids.tolist())
     free_mps = sorted(mid for mid in mp_ids if mid in m.map_points)
 
     problem = _Problem(m, free_kfs, free_mps)
@@ -493,12 +522,13 @@ def map_cost(m: Map) -> float:
     """Total squared residual of a map (diagnostic, used by invariants)."""
     total = 0.0
     for kf in m.keyframes.values():
-        for mid, o in kf.observations.items():
+        for mid, obs_r, obs_b in zip(kf.mp_ids.tolist(), kf.ranges.tolist(),
+                                     kf.bearings.tolist()):
             mp = m.map_points.get(mid)
             if mp is None:
                 continue
             ddx, ddy = mp.x - kf.pose.x, mp.y - kf.pose.y
             rng = math.hypot(ddx, ddy)
-            brg = wrap_angle(math.atan2(ddy, ddx) - kf.pose.theta - o.bearing)
-            total += (rng - o.range) ** 2 + brg ** 2
+            brg = wrap_angle(math.atan2(ddy, ddx) - kf.pose.theta - obs_b)
+            total += (rng - obs_r) ** 2 + brg ** 2
     return total

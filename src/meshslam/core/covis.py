@@ -16,7 +16,7 @@ def link_new_keyframe(m: Map, kf_id: KeyFrameId) -> None:
     """Add covisibility edges between a just-inserted keyframe and the rest."""
     kf = m.keyframes[kf_id]
     shared: dict[KeyFrameId, int] = {}
-    for mp_id in kf.observations:
+    for mp_id in kf.mp_ids.tolist():
         mp = m.map_points.get(mp_id)
         if mp is None:
             continue

@@ -38,25 +38,27 @@ def initialize_map(f1: Frame, f2: Frame, alloc: IdAllocator) -> Map:
     pose1 = Pose2()
     pose2 = pose1.compose(f2.odometry_delta)
 
-    kf1 = KeyFrame(alloc.next_keyframe_id(), pose1, {}, map_id)
-    kf2 = KeyFrame(alloc.next_keyframe_id(), pose2, {}, map_id)
-    m = Map(map_id, kf1.id)
-    m.keyframes[kf1.id] = kf1
-    m.keyframes[kf2.id] = kf2
-
-    obs1, obs2 = f1.observations, f2.observations
+    kf1_id, kf2_id = alloc.next_keyframe_id(), alloc.next_keyframe_id()
+    ranges1, bearings1 = f1.ranges.tolist(), f1.bearings.tolist()
+    ranges2, bearings2 = f2.ranges.tolist(), f2.bearings.tolist()
+    rows1, rows2, points = [], [], []
     for lm in common:
-        o1, o2 = obs1[row1[lm]], obs2[row2[lm]]
+        r1, b1 = ranges1[row1[lm]], bearings1[row1[lm]]
+        r2, b2 = ranges2[row2[lm]], bearings2[row2[lm]]
         mp_id = alloc.next_map_point_id()
-        x1, y1 = back_project(pose1, o1.range, o1.bearing)
-        x2, y2 = back_project(pose2, o2.range, o2.bearing)
-        mp = MapPoint(mp_id, 0.5 * (x1 + x2), 0.5 * (y1 + y2), lm,
-                      observers={kf1.id, kf2.id})
-        m.map_points[mp_id] = mp
-        kf1.observations[mp_id] = o1
-        kf2.observations[mp_id] = o2
+        x1, y1 = back_project(pose1, r1, b1)
+        x2, y2 = back_project(pose2, r2, b2)
+        points.append(MapPoint(mp_id, 0.5 * (x1 + x2), 0.5 * (y1 + y2), lm,
+                               observers={kf1_id, kf2_id}))
+        rows1.append((mp_id, lm, r1, b1))
+        rows2.append((mp_id, lm, r2, b2))
 
-    kf1.ref_point_count = len(common)
-    kf2.ref_point_count = len(common)
-    covis.link_new_keyframe(m, kf2.id)
+    m = Map(map_id, kf1_id)
+    m.add_keyframe(KeyFrame.from_rows(kf1_id, pose1, map_id, rows1,
+                                      ref_point_count=len(common)))
+    m.add_keyframe(KeyFrame.from_rows(kf2_id, pose2, map_id, rows2,
+                                      ref_point_count=len(common)))
+    for mp in points:
+        m.add_point(mp)
+    covis.link_new_keyframe(m, kf2_id)
     return m

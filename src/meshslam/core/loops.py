@@ -25,12 +25,9 @@ MIN_MERGE_PAIRS = 3
 
 def signature(m: Map, kf: KeyFrame) -> set[int]:
     """Ground-truth landmark ids behind a keyframe's observed map points."""
-    sig = set()
-    for mp_id in kf.observations:
-        mp = m.map_points.get(mp_id)
-        if mp is not None:
-            sig.add(mp.origin_landmark)
-    return sig
+    map_points_get = m.map_points.get
+    return {mp.origin_landmark for mp_id in kf.mp_ids.tolist()
+            if (mp := map_points_get(mp_id)) is not None}
 
 
 def detect_loop_or_merge(maps: dict[MapId, Map], kf: KeyFrame,
@@ -42,7 +39,8 @@ def detect_loop_or_merge(maps: dict[MapId, Map], kf: KeyFrame,
     above tau, ties going to the smaller keyframe id. Same-map hits are
     loop closures, cross-map hits are merge candidates. Only keyframes
     that observe a map point of one of kf's landmarks can overlap, so
-    the others are passed over without building their signature.
+    the candidates are the observers of those points (observer sets are
+    the inverse of the keyframes' observations).
     """
     own_map = maps[kf.map_id]
     sig = signature(own_map, kf)
@@ -53,15 +51,15 @@ def detect_loop_or_merge(maps: dict[MapId, Map], kf: KeyFrame,
     best: LoopCandidate | None = None
     for map_id in sorted(maps):
         m = maps[map_id]
-        shared = {mp_id for mp_id, mp in m.map_points.items()
-                  if mp.origin_landmark in sig}
-        if not shared:
-            continue
-        for other_id in sorted(m.keyframes):
+        candidates: set[KeyFrameId] = set()
+        for mp in m.map_points.values():
+            if mp.origin_landmark in sig:
+                candidates |= mp.observers
+        for other_id in sorted(candidates):
             if map_id == kf.map_id and other_id in excluded:
                 continue
-            other = m.keyframes[other_id]
-            if shared.isdisjoint(other.observations):
+            other = m.keyframes.get(other_id)
+            if other is None:
                 continue
             other_sig = signature(m, other)
             inter = len(sig & other_sig)
@@ -102,11 +100,16 @@ def fuse_map_points(m: Map, dead_id: int, surv_id: int) -> None:
         kf = m.keyframes.get(kf_id)
         if kf is None:
             continue
-        obs = kf.observations.pop(dead_id, None)
-        if obs is not None and surv_id not in kf.observations:
-            kf.observations[surv_id] = obs
+        ids = kf.mp_ids.tolist()
+        if dead_id in ids:
+            rows = list(zip(ids, kf.landmark_ids.tolist(), kf.ranges.tolist(),
+                            kf.bearings.tolist()))
+            _, *obs = rows.pop(ids.index(dead_id))
+            if surv_id not in ids:
+                rows.append((surv_id, *obs))
+            m.set_observations(kf_id, rows)
         surv.observers.add(kf_id)
-    del m.map_points[dead_id]
+    m.remove_point(dead_id)
 
 
 def absorb_map(surv: Map, lost: Map) -> None:
@@ -114,9 +117,9 @@ def absorb_map(surv: Map, lost: Map) -> None:
     for kf_id in sorted(lost.keyframes):
         kf = lost.keyframes[kf_id]
         kf.map_id = surv.map_id
-        surv.keyframes[kf_id] = kf
+        surv.add_keyframe(kf)
     for mp_id in sorted(lost.map_points):
-        surv.map_points[mp_id] = lost.map_points[mp_id]
+        surv.add_point(lost.map_points[mp_id])
 
 
 def _landmark_reps(m: Map, kf: KeyFrame | None = None) -> dict[int, int]:
@@ -126,8 +129,9 @@ def _landmark_reps(m: Map, kf: KeyFrame | None = None) -> dict[int, int]:
     over the whole map.
     """
     reps: dict[int, int] = {}
-    ids = kf.observations.keys() if kf is not None else m.map_points.keys()
-    for mp_id in sorted(ids):
+    # A keyframe's ids are ascending already.
+    ids = kf.mp_ids.tolist() if kf is not None else sorted(m.map_points)
+    for mp_id in ids:
         mp = m.map_points.get(mp_id)
         if mp is None:
             continue

@@ -9,7 +9,9 @@ map point's origin landmark for geometry, only for association.
 from __future__ import annotations
 
 import enum
+from collections.abc import Mapping
 from dataclasses import dataclass, field
+from types import MappingProxyType
 
 import numpy as np
 
@@ -120,23 +122,147 @@ class MapPoint:
     observers: set[KeyFrameId] = field(default_factory=set)
 
 
-@dataclass(slots=True)
+def _freeze_columns(mp_ids: np.ndarray, landmark_ids: np.ndarray,
+                    ranges: np.ndarray, bearings: np.ndarray) -> None:
+    """Check a keyframe's observation columns and make them read-only."""
+    if not (mp_ids.dtype == np.uint64 and landmark_ids.dtype == np.int64
+            and ranges.dtype == np.float64 and bearings.dtype == np.float64):
+        raise ValueError(
+            "keyframe columns must be uint64, int64, float64, float64")
+    columns = (mp_ids, landmark_ids, ranges, bearings)
+    if not (all(c.ndim == 1 for c in columns)
+            and len(mp_ids) == len(landmark_ids) == len(ranges)
+            == len(bearings)):
+        raise ValueError("keyframe columns must be 1-D and of one length")
+    if len(mp_ids) > 1 and not (mp_ids[1:] > mp_ids[:-1]).all():
+        raise ValueError("keyframe map point ids must be strictly ascending")
+    for column in columns:
+        column.flags.writeable = False
+
+
+def _observation_columns(rows) -> tuple[np.ndarray, np.ndarray, np.ndarray,
+                                       np.ndarray]:
+    """The checked, read-only keyframe columns of ``(mp_id, landmark_id,
+    range, bearing)`` rows, which may come in any order."""
+    rows = sorted(rows)
+    mp_ids, landmark_ids, ranges, bearings = (
+        zip(*rows) if rows else ((), (), (), ()))
+    columns = (np.array(mp_ids, dtype=np.uint64),
+               np.array(landmark_ids, dtype=np.int64),
+               np.array(ranges, dtype=np.float64),
+               np.array(bearings, dtype=np.float64))
+    _freeze_columns(*columns)
+    return columns
+
+
+@dataclass(slots=True, eq=False)
 class KeyFrame:
+    """A tracked frame kept in the map, with its map point observations.
+
+    The observations are four columns of one length, row i being one
+    measurement: ``mp_ids`` (uint64, strictly ascending), the observed
+    ``landmark_ids`` (int64), ``ranges`` and ``bearings`` (float64). The
+    constructor checks them and clears their writeable flag, and only
+    ``Map.set_observations`` replaces them. ``observations`` builds a
+    read-only ``{mp_id: Observation}`` mapping on demand, and
+    ``from_rows``/``from_observations`` build a keyframe from rows or from
+    such a mapping. Two keyframes are equal when their scalars and
+    covisibility are and their columns have the same bytes.
+    """
+
     id: KeyFrameId
     pose: Pose2
-    observations: dict[int, Observation]
     map_id: MapId
+    mp_ids: np.ndarray
+    landmark_ids: np.ndarray
+    ranges: np.ndarray
+    bearings: np.ndarray
     ref_point_count: int = 0
     covisible: dict[KeyFrameId, int] = field(default_factory=dict)
+
+    def __post_init__(self) -> None:
+        _freeze_columns(self.mp_ids, self.landmark_ids, self.ranges,
+                        self.bearings)
+
+    @classmethod
+    def from_rows(cls, kf_id: KeyFrameId, pose: Pose2, map_id: MapId, rows,
+                  ref_point_count: int = 0) -> KeyFrame:
+        """A keyframe of ``(mp_id, landmark_id, range, bearing)`` rows."""
+        return cls(kf_id, pose, map_id, *_observation_columns(rows),
+                   ref_point_count=ref_point_count)
+
+    @classmethod
+    def from_observations(cls, kf_id: KeyFrameId, pose: Pose2, map_id: MapId,
+                          observations: Mapping[int, Observation],
+                          ref_point_count: int = 0) -> KeyFrame:
+        return cls.from_rows(
+            kf_id, pose, map_id,
+            [(mp_id, o.landmark_id, o.range, o.bearing)
+             for mp_id, o in observations.items()], ref_point_count)
+
+    @property
+    def observations(self) -> Mapping[int, Observation]:
+        return MappingProxyType(dict(zip(
+            self.mp_ids.tolist(),
+            map(Observation, self.landmark_ids.tolist(), self.ranges.tolist(),
+                self.bearings.tolist()))))
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, KeyFrame):
+            return NotImplemented
+        return ((self.id, self.pose, self.map_id, self.ref_point_count,
+                 self.covisible)
+                == (other.id, other.pose, other.map_id, other.ref_point_count,
+                    other.covisible)
+                and all(a.tobytes() == b.tobytes()
+                        for a, b in ((self.mp_ids, other.mp_ids),
+                                     (self.landmark_ids, other.landmark_ids),
+                                     (self.ranges, other.ranges),
+                                     (self.bearings, other.bearings))))
 
 
 @dataclass
 class Map:
+    """Keyframes and map points of one map, with a structure version.
+
+    Every structural write goes through one of four methods:
+    ``add_keyframe``, ``add_point``, ``remove_point`` and
+    ``set_observations``. Each bumps ``structure_version``, so anything
+    derived from keyframe membership, keyframe observations or point
+    existence can be kept until the version moves: ``track_cache`` holds
+    the tracker's window as ``((structure_version, window), value)``.
+    Poses, point positions, observer sets and covisibility are written in
+    place and do not move the version. Neither field takes part in
+    equality.
+    """
+
     map_id: MapId
     origin_kf: KeyFrameId
     keyframes: dict[KeyFrameId, KeyFrame] = field(default_factory=dict)
     map_points: dict[int, MapPoint] = field(default_factory=dict)
     initialized_optimized: bool = False
+    structure_version: int = field(default=0, compare=False)
+    track_cache: tuple = field(default=(None, None), compare=False, repr=False)
+
+    def add_keyframe(self, kf: KeyFrame) -> None:
+        self.keyframes[kf.id] = kf
+        self.structure_version += 1
+
+    def add_point(self, mp: MapPoint) -> None:
+        self.map_points[mp.id] = mp
+        self.structure_version += 1
+
+    def remove_point(self, mp_id: int) -> None:
+        del self.map_points[mp_id]
+        self.structure_version += 1
+
+    def set_observations(self, kf_id: KeyFrameId, rows) -> None:
+        """Replace a keyframe's columns by ``(mp_id, landmark_id, range,
+        bearing)`` rows, in any order."""
+        kf = self.keyframes[kf_id]
+        (kf.mp_ids, kf.landmark_ids, kf.ranges,
+         kf.bearings) = _observation_columns(rows)
+        self.structure_version += 1
 
     def latest_keyframe_ids(self, n: int) -> list[KeyFrameId]:
         """The n largest keyframe ids (creation recency order)."""

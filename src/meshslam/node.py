@@ -365,20 +365,20 @@ class SlamNode:
             cursor += spacing_ms
         self._emit_cursor[topic] = cursor
 
-    def _new_kf_payload(self, m: Map, kf: KeyFrame) -> NewKeyFramePayload:
-        wire_obs = tuple(
-            WireObservation(mp_id, kf.observations[mp_id].landmark_id,
-                            kf.observations[mp_id].range,
-                            kf.observations[mp_id].bearing)
-            for mp_id in sorted(kf.observations)
-        )
+    @staticmethod
+    def _new_kf_payload(m: Map, kf: KeyFrame) -> NewKeyFramePayload:
+        # The columns' ascending ids are the order of the wire rows.
+        mp_ids = kf.mp_ids.tolist()
+        wire_obs = tuple(map(WireObservation, mp_ids,
+                             kf.landmark_ids.tolist(), kf.ranges.tolist(),
+                             kf.bearings.tolist()))
         # A point travels with its earliest observer's message, exactly once.
-        new_ids = sorted(
-            mp_id for mp_id in kf.observations
+        new_ids = [
+            mp_id for mp_id in mp_ids
             if mp_id in m.map_points
             and m.map_points[mp_id].observers
             and min(m.map_points[mp_id].observers) == kf.id
-        )
+        ]
         new_points = tuple(
             WireMapPoint(mp_id, m.map_points[mp_id].x, m.map_points[mp_id].y,
                          m.map_points[mp_id].origin_landmark)

@@ -228,10 +228,8 @@ def generate_scenario(spec: ScenarioSpec
     lx = rng.uniform(x0, x1, spec.landmark_count)
     ly = rng.uniform(y0, y1, spec.landmark_count)
     poses, blackout = _trajectory(spec)
-    # Landmarks by x: each frame tests only the x-window around the pose.
+    # Each frame measures distances only in the x-window around the pose.
     # The 1 m margin keeps rounding at the window's edge from dropping one.
-    by_x = np.argsort(lx, kind="stable")
-    sorted_x = lx[by_x]
     reach = spec.sensor_range + 1.0
 
     # Frames that see nothing share one set of (read-only) empty columns.
@@ -253,13 +251,11 @@ def generate_scenario(spec: ScenarioSpec
                           wrap_angle(delta.theta + noise[2]))
         ids, ranges, bearings = no_ids, no_values, no_values
         if k not in blackout:
-            lo, hi = np.searchsorted(sorted_x, (pose.x - reach, pose.x + reach))
-            near = by_x[lo:hi]
+            # Ascending ids, which is the noise draw order.
+            near = np.flatnonzero((lx >= pose.x - reach)
+                                  & (lx <= pose.x + reach))
             dist = np.hypot(lx[near] - pose.x, ly[near] - pose.y)
-            # Back to ascending id order, which is the noise draw order.
-            visible = np.zeros(spec.landmark_count, dtype=bool)
-            visible[near[dist <= spec.sensor_range]] = True
-            seen = np.flatnonzero(visible)
+            seen = near[dist <= spec.sensor_range]
             if len(seen):
                 ids = seen
                 ranges, bearings = _observe(spec, rng, pose, ids, lx, ly)

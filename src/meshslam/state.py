@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from meshslam.codec import ID, U32, U64
 from meshslam.core import covis
 from meshslam.core.loops import absorb_map, fuse_map_points
-from meshslam.core.types import KeyFrame, Map, MapPoint, Observation, SlamError
+from meshslam.core.types import KeyFrame, Map, MapPoint, SlamError
 from meshslam.ids import KeyFrameId, MapId
 from meshslam.messages import (
     BatchKind,
@@ -171,33 +171,32 @@ def _insert_keyframe(state: SystemState, m: Map, payload: NewKeyFramePayload) ->
     for mp in payload.new_points:
         mp_id = resolve_mp_id(state, mp.mp_id)
         if mp_id == mp.mp_id and mp_id not in m.map_points:
-            m.map_points[mp_id] = MapPoint(
-                mp_id, mp.x, mp.y, mp.landmark_id, observers=set()
-            )
+            m.add_point(MapPoint(mp_id, mp.x, mp.y, mp.landmark_id,
+                                 observers=set()))
     # Mirror fusion semantics: identity-keyed observations first, then
     # re-keyed ones only where the survivor is not already observed.
-    observations: dict[int, Observation] = {}
-    rekeyed: list[tuple[int, Observation]] = []
+    rows: dict[int, tuple[int, int, float, float]] = {}
+    rekeyed: list[tuple[int, int, float, float]] = []
     for o in kf_wire.observations:
         mp_id = resolve_mp_id(state, o.mp_id)
-        value = Observation(o.landmark_id, o.range, o.bearing)
         if mp_id == o.mp_id:
-            observations[mp_id] = value
+            rows[mp_id] = o
         else:
-            rekeyed.append((mp_id, value))
-    for mp_id, value in rekeyed:
-        if mp_id not in observations:
-            observations[mp_id] = value
-    kf = KeyFrame(kf_wire.kf_id, kf_wire.pose, observations, m.map_id,
-                  ref_point_count=kf_wire.ref_point_count)
+            rekeyed.append((mp_id, o.landmark_id, o.range, o.bearing))
+    for row in rekeyed:
+        rows.setdefault(row[0], row)
     # Staging soundness: promotion must never leave dangling references.
-    missing = [mp_id for mp_id in observations if mp_id not in m.map_points]
+    missing = [mp_id for mp_id in rows if mp_id not in m.map_points]
     if missing:
         raise DanglingReference(
-            f"keyframe {kf.id} observes {len(missing)} missing map points")
-    m.keyframes[kf.id] = kf
+            f"keyframe {kf_wire.kf_id} observes {len(missing)} missing map "
+            "points")
+    kf = KeyFrame.from_rows(kf_wire.kf_id, kf_wire.pose, m.map_id,
+                            rows.values(),
+                            ref_point_count=kf_wire.ref_point_count)
+    m.add_keyframe(kf)
     state.kf_map_index[kf.id] = m.map_id
-    for mp_id in observations:
+    for mp_id in rows:
         m.map_points[mp_id].observers.add(kf.id)
     covis.link_new_keyframe(m, kf.id)
     if payload.map_init_optimized:
@@ -375,7 +374,7 @@ def _promote_global(state: SystemState, epoch: int) -> None:
             if mp is None and surviving is not None:
                 # The snapshot names a point the surviving map lacks.
                 mp = MapPoint(wmp.mp_id, wmp.x, wmp.y, wmp.landmark_id)
-                surviving.map_points[wmp.mp_id] = mp
+                surviving.add_point(mp)
             _update_point(state, mp, wmp, key)
     state.globally_optimized.add(head.map_id)
     if surviving is not None:
@@ -398,7 +397,7 @@ def _rebuild_observers(m: Map) -> None:
     for mp in m.map_points.values():
         mp.observers = set()
     for kf_id in sorted(m.keyframes):
-        for mp_id in m.keyframes[kf_id].observations:
+        for mp_id in m.keyframes[kf_id].mp_ids.tolist():
             mp = m.map_points.get(mp_id)
             if mp is not None:
                 mp.observers.add(kf_id)
@@ -421,7 +420,7 @@ def collect_dirty(state: SystemState, center: KeyFrameId, n_covisible: int,
     kf_ids = sorted(kid for kid in window if kid in state.dirty_kfs)
     mp_pool: set[int] = set()
     for kid in window:
-        mp_pool |= set(m.keyframes[kid].observations)
+        mp_pool.update(m.keyframes[kid].mp_ids.tolist())
     mp_ids = sorted(mid for mid in mp_pool
                     if mid in state.dirty_mps and mid in m.map_points)
     if not kf_ids and not mp_ids and not set_init_optimized:
@@ -514,13 +513,12 @@ def _canonical_buffer(state: SystemState) -> bytearray:
             buf += ID.pack(kf_id.origin, kf_id.seq)
             buf += _DEC3 % (round(pose.x, 9) + 0.0, round(pose.y, 9) + 0.0,
                             round(pose.theta, 9) + 0.0)
-            buf += _COUNTS.pack(kf.ref_point_count, len(kf.observations))
-            observations = kf.observations
-            for mp_id in sorted(observations):
-                o = observations[mp_id]
-                buf += _OBS_HEAD.pack(mp_id, o.landmark_id)
-                buf += _DEC2 % (round(o.range, 9) + 0.0,
-                                round(o.bearing, 9) + 0.0)
+            buf += _COUNTS.pack(kf.ref_point_count, len(kf.mp_ids))
+            for mp_id, landmark_id, rng, brg in zip(
+                    kf.mp_ids.tolist(), kf.landmark_ids.tolist(),
+                    kf.ranges.tolist(), kf.bearings.tolist()):
+                buf += _OBS_HEAD.pack(mp_id, landmark_id)
+                buf += _DEC2 % (round(rng, 9) + 0.0, round(brg, 9) + 0.0)
             covisible = kf.covisible
             buf += U32.pack(len(covisible))
             for other in sorted(covisible):

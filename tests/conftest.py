@@ -45,6 +45,12 @@ def make_frame(frame_id: int, pose: Pose2, prev_pose: Pose2 | None,
                                    observe(pose, landmarks, **kw))
 
 
+def observation_rows(observations) -> list[tuple[int, int, float, float]]:
+    """``Map.set_observations`` rows of an ``{mp_id: Observation}`` mapping."""
+    return [(mp_id, o.landmark_id, o.range, o.bearing)
+            for mp_id, o in observations.items()]
+
+
 @pytest.fixture
 def alloc():
     return IdAllocator(1)

@@ -25,7 +25,7 @@ from meshslam.core.types import (
 from meshslam.geometry import Pose2, wrap_angle
 from meshslam.ids import IdAllocator
 
-from conftest import grid_landmarks, make_frame
+from conftest import grid_landmarks, make_frame, observation_rows
 
 
 def build_chain(n_kfs, landmarks, alloc, rng=None, sigma_r=0.0, sigma_b=0.0):
@@ -159,11 +159,15 @@ def test_singular_system_leaves_map_unmodified(alloc):
     keep = sorted(free.observations)[0]
     for mid in list(free.observations):
         if mid != keep:
-            del free.observations[mid]
             m.map_points[mid].observers.discard(free.id)
+    m.set_observations(free.id, [row for row in observation_rows(free.observations)
+                                 if row[0] == keep])
+    assert list(free.observations) == [keep]
     only_mp = m.map_points[keep]
     only_mp.observers = {free.id}
-    anchor.observations.pop(keep, None)
+    m.set_observations(anchor.id, [row for row in observation_rows(anchor.observations)
+                                   if row[0] != keep])
+    assert keep not in anchor.observations
     anchor.covisible = {free.id: 5}
     free.covisible = {anchor.id: 5}
     before_pose = free.pose
@@ -397,8 +401,10 @@ def test_guard_drops_near_pairs_and_orphaned_points():
     _place_near(m, center, shared, 1e-6)
     # A point back-projected from a range reading clamped to 1e-6 m.
     lone = max(m.map_points) + 1
-    m.map_points[lone] = MapPoint(lone, 0.0, 0.0, 999, {center})
-    m.keyframes[center].observations[lone] = Observation(999, 1e-6, 0.0)
+    m.add_point(MapPoint(lone, 0.0, 0.0, 999, {center}))
+    m.set_observations(center, observation_rows(m.keyframes[center].observations)
+                       + [(lone, 999, 1e-6, 0.0)])
+    assert m.keyframes[center].observations[lone] == Observation(999, 1e-6, 0.0)
     _place_near(m, center, lone, 1e-6)
     lone_xy = (m.map_points[lone].x, m.map_points[lone].y)
 

@@ -23,7 +23,7 @@ from meshslam.core.types import (
 from meshslam.core import covis
 from meshslam.geometry import Pose2
 
-from conftest import grid_landmarks, make_frame
+from conftest import grid_landmarks, make_frame, observation_rows
 
 
 def drive(m, poses, landmarks, alloc, start_idx, window=10, visible=None):
@@ -212,9 +212,11 @@ def test_fusion_unions_observers(alloc):
     from meshslam.core.types import MapPoint
     dup = MapPoint(2**64 - 1, src.x + 0.01, src.y, src.origin_landmark,
                    observers={kf.id})
-    m.map_points[dup.id] = dup
-    kf.observations[dup.id] = kf.observations[dup_src]
-    del kf.observations[dup_src]
+    m.add_point(dup)
+    observations = dict(kf.observations)
+    observations[dup.id] = observations.pop(dup_src)
+    m.set_observations(kf.id, observation_rows(observations))
+    assert dup.id in kf.observations and dup_src not in kf.observations
     src.observers.discard(kf.id)
 
     from meshslam.core.loops import _fuse_pair
@@ -292,8 +294,10 @@ def test_merge_rejects_thin_overlap(alloc):
         mp = m2.map_points[mp_id]
         if mp.origin_landmark in shared and mp.origin_landmark not in keep:
             for kid in mp.observers:
-                m2.keyframes[kid].observations.pop(mp_id, None)
-            del m2.map_points[mp_id]
+                m2.set_observations(kid, [
+                    row for row in observation_rows(m2.keyframes[kid].observations)
+                    if row[0] != mp_id])
+            m2.remove_point(mp_id)
     maps = {m1.map_id: m1, m2.map_id: m2}
     from meshslam.core.types import LoopCandidate
     kf = m2.keyframes[sorted(m2.keyframes)[0]]

@@ -1,5 +1,7 @@
 from collections import Counter
 
+import pytest
+
 from meshslam.cli import main as cli_main
 from meshslam.config import TopologySpec
 from meshslam.policy import Role
@@ -130,6 +132,41 @@ def test_cli_oracle_run_eval_report(tmp_path, capsys):
     assert csv_text.startswith(CSV_HEADER)
     assert cli_main(["report", "--in", str(out_run)]) == 0
     assert "scenario" in capsys.readouterr().out
+
+
+def _row(n_fields):
+    return ",".join(["x"] * n_fields)
+
+
+N_FIELDS = len(CSV_HEADER.split(","))
+
+
+@pytest.mark.parametrize("content, message", [
+    ("", "is empty"),
+    ("\n", "is empty"),
+    (CSV_HEADER + "\n", "0 data rows"),
+    (f"{CSV_HEADER}\n{_row(N_FIELDS)}\n{_row(N_FIELDS)}\n", "2 data rows"),
+    (f"{CSV_HEADER}\n{_row(N_FIELDS - 1)}\n", f"{N_FIELDS - 1} fields"),
+    (f"{CSV_HEADER}\n{_row(N_FIELDS + 1)}\n", f"{N_FIELDS + 1} fields"),
+    ("a,b\n1,2\n", "unrecognized metrics header"),
+])
+def test_report_rejects_a_malformed_metrics_file(tmp_path, capsys, content,
+                                                 message):
+    (tmp_path / "metrics.csv").write_text(content)
+    assert cli_main(["report", "--in", str(tmp_path)]) == 1
+    captured = capsys.readouterr()
+    assert message in captured.err and captured.out == ""
+
+
+def test_report_prints_every_field_of_a_well_formed_row(tmp_path, capsys):
+    values = [f"v{i}" for i in range(N_FIELDS)]
+    (tmp_path / "metrics.csv").write_text(
+        f"{CSV_HEADER}\n{','.join(values)}\n")
+    assert cli_main(["report", "--in", str(tmp_path)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split(": ") for line in lines] == [
+        [f"{key:>15}", value]
+        for key, value in zip(CSV_HEADER.split(","), values)]
 
 
 def test_discovery_converges_before_first_keyframe():

@@ -44,6 +44,35 @@ def test_only_the_latest_writer_helpers_store_applied_keys():
     assert writers == {"_update_pose", "_update_point"}
 
 
+def _functions(tree):
+    """(qualified name, node) of every module-level function and method."""
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef):
+            yield node.name, node
+        elif isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef):
+                    yield f"{node.name}.{item.name}", item
+
+
+def test_only_the_map_writers_change_map_structure():
+    # The tracker keeps its window until the map's structure version moves,
+    # so a keyframe or point added or removed, or a keyframe's columns
+    # replaced, anywhere but in the Map methods that bump it leaves a stale
+    # window behind.
+    structure = {"keyframes", "map_points", "mp_ids", "landmark_ids",
+                 "ranges", "bearings"}
+    writers = set()
+    for path in sorted(SRC.rglob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        writers |= {f"{path.relative_to(SRC)}:{name}"
+                    for name, func in _functions(tree)
+                    for node in ast.walk(func)
+                    if _stored_attribute(node) in structure}
+    assert writers == {f"core/types.py:Map.{name}" for name in (
+        "add_keyframe", "add_point", "remove_point", "set_observations")}
+
+
 def _imported_modules(tree):
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
