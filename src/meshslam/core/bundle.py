@@ -85,7 +85,7 @@ class _Problem:
         point_index = {mid: j for j, mid in enumerate(free_mps)}.get
         observers: set[KeyFrameId] = set()
         for mp in points:
-            observers |= mp.observers
+            observers.update(mp.observers)
         sources: list[tuple[int, float, float, float]] = []  # slot, pose
         per_source: list[int] = []
         row_point: list[int] = []

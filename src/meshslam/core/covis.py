@@ -34,7 +34,7 @@ def rebuild_covisibility(m: Map) -> None:
     """Recompute every covisibility edge of a map from observation sets."""
     counts: dict[tuple[KeyFrameId, KeyFrameId], int] = {}
     for mp in m.map_points.values():
-        observers = sorted(mp.observers)
+        observers = mp.observers
         for i, a in enumerate(observers):
             for b in observers[i + 1:]:
                 key = (a, b)

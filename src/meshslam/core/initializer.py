@@ -48,17 +48,17 @@ def initialize_map(f1: Frame, f2: Frame, alloc: IdAllocator) -> Map:
         mp_id = alloc.next_map_point_id()
         x1, y1 = back_project(pose1, r1, b1)
         x2, y2 = back_project(pose2, r2, b2)
-        points.append(MapPoint(mp_id, 0.5 * (x1 + x2), 0.5 * (y1 + y2), lm,
-                               observers={kf1_id, kf2_id}))
+        points.append(MapPoint(mp_id, 0.5 * (x1 + x2), 0.5 * (y1 + y2), lm))
         rows1.append((mp_id, lm, r1, b1))
         rows2.append((mp_id, lm, r2, b2))
 
     m = Map(map_id, kf1_id)
+    # Points first: adding each keyframe registers it on all of them.
+    for mp in points:
+        m.add_point(mp)
     m.add_keyframe(KeyFrame.from_rows(kf1_id, pose1, map_id, rows1,
                                       ref_point_count=len(common)))
     m.add_keyframe(KeyFrame.from_rows(kf2_id, pose2, map_id, rows2,
                                       ref_point_count=len(common)))
-    for mp in points:
-        m.add_point(mp)
     covis.link_new_keyframe(m, kf2_id)
     return m

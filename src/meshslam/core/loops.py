@@ -39,8 +39,8 @@ def detect_loop_or_merge(maps: dict[MapId, Map], kf: KeyFrame,
     above tau, ties going to the smaller keyframe id. Same-map hits are
     loop closures, cross-map hits are merge candidates. Only keyframes
     that observe a map point of one of kf's landmarks can overlap, so
-    the candidates are the observers of those points (observer sets are
-    the inverse of the keyframes' observations).
+    the candidates are the observers of those points (observers are the
+    inverse of the keyframes' observations).
     """
     own_map = maps[kf.map_id]
     sig = signature(own_map, kf)
@@ -54,7 +54,7 @@ def detect_loop_or_merge(maps: dict[MapId, Map], kf: KeyFrame,
         candidates: set[KeyFrameId] = set()
         for mp in m.map_points.values():
             if mp.origin_landmark in sig:
-                candidates |= mp.observers
+                candidates.update(mp.observers)
         for other_id in sorted(candidates):
             if map_id == kf.map_id and other_id in excluded:
                 continue
@@ -72,7 +72,7 @@ def detect_loop_or_merge(maps: dict[MapId, Map], kf: KeyFrame,
 
 
 def _age_key(mp: MapPoint) -> tuple[KeyFrameId, int]:
-    return (min(mp.observers), mp.id)
+    return (mp.observers[0], mp.id)
 
 
 def _fuse_pair(m: Map, a_id: int, b_id: int) -> tuple[int, int]:
@@ -96,7 +96,7 @@ def fuse_map_points(m: Map, dead_id: int, surv_id: int) -> None:
     surv = m.map_points.get(surv_id)
     if dead is None or surv is None or dead_id == surv_id:
         return
-    for kf_id in sorted(dead.observers):
+    for kf_id in dead.observers:
         kf = m.keyframes.get(kf_id)
         if kf is None:
             continue
@@ -108,7 +108,6 @@ def fuse_map_points(m: Map, dead_id: int, surv_id: int) -> None:
             if surv_id not in ids:
                 rows.append((surv_id, *obs))
             m.set_observations(kf_id, rows)
-        surv.observers.add(kf_id)
     m.remove_point(dead_id)
 
 

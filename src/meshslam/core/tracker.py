@@ -125,15 +125,14 @@ def create_keyframe(frame: Frame, tr: TrackResult, alloc: IdAllocator,
             continue
         mp_id = alloc.next_map_point_id()
         x, y = back_project(tr.pose, rng, brg)
-        new_points.append(MapPoint(mp_id, x, y, landmark_id, observers={kf_id}))
+        new_points.append(MapPoint(mp_id, x, y, landmark_id))
         rows.append((mp_id, landmark_id, rng, brg))
 
     kf = KeyFrame.from_rows(kf_id, tr.pose, m.map_id, rows,
                             ref_point_count=len(tr.matches) + len(new_points))
-    m.add_keyframe(kf)
+    # Points first: adding the keyframe registers it on all of them.
     for mp in new_points:
         m.add_point(mp)
-    for mp_id in tr.matches:
-        m.map_points[mp_id].observers.add(kf_id)
+    m.add_keyframe(kf)
     covis.link_new_keyframe(m, kf_id)
     return kf, new_points

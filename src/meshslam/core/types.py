@@ -9,6 +9,7 @@ map point's origin landmark for geometry, only for association.
 from __future__ import annotations
 
 import enum
+from bisect import bisect_left
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from types import MappingProxyType
@@ -115,11 +116,41 @@ class Frame:
 
 @dataclass(slots=True)
 class MapPoint:
+    """A landmark estimate of one map.
+
+    ``observers`` holds the ids of the map's keyframes whose columns name
+    this point, strictly ascending: the inverse of the keyframe columns.
+    Only ``Map``'s structural writers change it; a point enters a map
+    with its tuple, which is empty unless the point moves with its
+    keyframes from another map.
+    """
+
     id: int
     x: float
     y: float
     origin_landmark: int
-    observers: set[KeyFrameId] = field(default_factory=set)
+    observers: tuple[KeyFrameId, ...] = ()
+
+
+def _with_observer(observers: tuple[KeyFrameId, ...], kf_id: KeyFrameId
+                   ) -> tuple[KeyFrameId, ...]:
+    """An ascending observer tuple with kf_id in it."""
+    if not observers or observers[-1] < kf_id:
+        # New keyframes have the largest ids, so this is the usual case.
+        return observers + (kf_id,)
+    i = bisect_left(observers, kf_id)
+    if observers[i] == kf_id:
+        return observers
+    return observers[:i] + (kf_id,) + observers[i:]
+
+
+def _without_observer(observers: tuple[KeyFrameId, ...], kf_id: KeyFrameId
+                      ) -> tuple[KeyFrameId, ...]:
+    """An ascending observer tuple with kf_id taken out."""
+    i = bisect_left(observers, kf_id)
+    if i < len(observers) and observers[i] == kf_id:
+        return observers[:i] + observers[i + 1:]
+    return observers
 
 
 def _freeze_columns(mp_ids: np.ndarray, landmark_ids: np.ndarray,
@@ -231,9 +262,17 @@ class Map:
     derived from keyframe membership, keyframe observations or point
     existence can be kept until the version moves: ``track_cache`` holds
     the tracker's window as ``((structure_version, window), value)``.
-    Poses, point positions, observer sets and covisibility are written in
-    place and do not move the version. Neither field takes part in
-    equality.
+    The same writers keep every point's ``observers`` equal to the
+    inverse of the keyframe columns: ``add_keyframe`` and
+    ``set_observations`` register and unregister the keyframe on the
+    points the map holds, so a point is added before the keyframes that
+    observe it. ``rebuild_observers`` derives them all afresh, for a
+    caller that added points after their observers. Observer writes do
+    not move the version on their own. Poses, point positions and
+    covisibility are written in place and do not move it either.
+    ``latest_kf_id`` is the largest keyframe id; keyframes are never
+    removed from a map. ``structure_version``, ``track_cache`` and
+    ``latest_kf_id`` take no part in equality.
     """
 
     map_id: MapId
@@ -243,9 +282,18 @@ class Map:
     initialized_optimized: bool = False
     structure_version: int = field(default=0, compare=False)
     track_cache: tuple = field(default=(None, None), compare=False, repr=False)
+    latest_kf_id: KeyFrameId | None = field(default=None, compare=False,
+                                            repr=False)
 
     def add_keyframe(self, kf: KeyFrame) -> None:
         self.keyframes[kf.id] = kf
+        if self.latest_kf_id is None or kf.id > self.latest_kf_id:
+            self.latest_kf_id = kf.id
+        points = self.map_points
+        for mp_id in kf.mp_ids.tolist():
+            mp = points.get(mp_id)
+            if mp is not None:
+                mp.observers = _with_observer(mp.observers, kf.id)
         self.structure_version += 1
 
     def add_point(self, mp: MapPoint) -> None:
@@ -260,14 +308,36 @@ class Map:
         """Replace a keyframe's columns by ``(mp_id, landmark_id, range,
         bearing)`` rows, in any order."""
         kf = self.keyframes[kf_id]
+        old = set(kf.mp_ids.tolist())
         (kf.mp_ids, kf.landmark_ids, kf.ranges,
          kf.bearings) = _observation_columns(rows)
+        new = set(kf.mp_ids.tolist())
+        points = self.map_points
+        for mp_id in old - new:
+            mp = points.get(mp_id)
+            if mp is not None:
+                mp.observers = _without_observer(mp.observers, kf_id)
+        for mp_id in new - old:
+            mp = points.get(mp_id)
+            if mp is not None:
+                mp.observers = _with_observer(mp.observers, kf_id)
         self.structure_version += 1
+
+    def rebuild_observers(self) -> None:
+        """Derive every point's observers from the keyframe columns."""
+        points = self.map_points
+        for mp in points.values():
+            mp.observers = ()
+        for kf_id in sorted(self.keyframes):
+            for mp_id in self.keyframes[kf_id].mp_ids.tolist():
+                mp = points.get(mp_id)
+                if mp is not None:
+                    mp.observers += (kf_id,)
 
     def latest_keyframe_ids(self, n: int) -> list[KeyFrameId]:
         """The n largest keyframe ids (creation recency order)."""
-        if n == 1 and self.keyframes:
-            return [max(self.keyframes)]
+        if n == 1 and self.latest_kf_id is not None:
+            return [self.latest_kf_id]
         # Ids mostly arrive in ascending order, which sorts in linear time.
         return sorted(self.keyframes, reverse=True)[:n]
 

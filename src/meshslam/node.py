@@ -377,7 +377,7 @@ class SlamNode:
             mp_id for mp_id in mp_ids
             if mp_id in m.map_points
             and m.map_points[mp_id].observers
-            and min(m.map_points[mp_id].observers) == kf.id
+            and m.map_points[mp_id].observers[0] == kf.id
         ]
         new_points = tuple(
             WireMapPoint(mp_id, m.map_points[mp_id].x, m.map_points[mp_id].y,

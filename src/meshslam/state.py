@@ -158,7 +158,10 @@ def note_merge(state: SystemState, absorbed: MapId | None,
 
 
 def _payload_resolves(state: SystemState, m: Map, payload: NewKeyFramePayload) -> bool:
-    own = {resolve_mp_id(state, mp.mp_id) for mp in payload.new_points}
+    # Only the new points _insert_keyframe adds count: one fused away
+    # resolves to its survivor, which must already be in the map.
+    own = {mp.mp_id for mp in payload.new_points
+           if resolve_mp_id(state, mp.mp_id) == mp.mp_id}
     for obs in payload.keyframe.observations:
         mp_id = resolve_mp_id(state, obs.mp_id)
         if mp_id not in own and mp_id not in m.map_points:
@@ -171,8 +174,7 @@ def _insert_keyframe(state: SystemState, m: Map, payload: NewKeyFramePayload) ->
     for mp in payload.new_points:
         mp_id = resolve_mp_id(state, mp.mp_id)
         if mp_id == mp.mp_id and mp_id not in m.map_points:
-            m.add_point(MapPoint(mp_id, mp.x, mp.y, mp.landmark_id,
-                                 observers=set()))
+            m.add_point(MapPoint(mp_id, mp.x, mp.y, mp.landmark_id))
     # Mirror fusion semantics: identity-keyed observations first, then
     # re-keyed ones only where the survivor is not already observed.
     rows: dict[int, tuple[int, int, float, float]] = {}
@@ -196,8 +198,6 @@ def _insert_keyframe(state: SystemState, m: Map, payload: NewKeyFramePayload) ->
                             ref_point_count=kf_wire.ref_point_count)
     m.add_keyframe(kf)
     state.kf_map_index[kf.id] = m.map_id
-    for mp_id in rows:
-        m.map_points[mp_id].observers.add(kf.id)
     covis.link_new_keyframe(m, kf.id)
     if payload.map_init_optimized:
         m.initialized_optimized = True
@@ -379,9 +379,9 @@ def _promote_global(state: SystemState, epoch: int) -> None:
     state.globally_optimized.add(head.map_id)
     if surviving is not None:
         surviving.initialized_optimized = True
-        # Observer sets are derived from keyframe observations; rebuilding
-        # keeps them identical no matter when each keyframe arrived.
-        _rebuild_observers(surviving)
+        # Snapshot points joined after their observers; rebuilding keeps
+        # the observers identical no matter when each keyframe arrived.
+        surviving.rebuild_observers()
         covis.rebuild_covisibility(surviving)
 
     state.paused = False
@@ -391,16 +391,6 @@ def _promote_global(state: SystemState, epoch: int) -> None:
     for pending in state.pending_local.pop(epoch, []):
         _apply_local_batch(state, pending)
     _drain_staged_keyframes(state, head.map_id)
-
-
-def _rebuild_observers(m: Map) -> None:
-    for mp in m.map_points.values():
-        mp.observers = set()
-    for kf_id in sorted(m.keyframes):
-        for mp_id in m.keyframes[kf_id].mp_ids.tolist():
-            mp = m.map_points.get(mp_id)
-            if mp is not None:
-                mp.observers.add(kf_id)
 
 
 def collect_dirty(state: SystemState, center: KeyFrameId, n_covisible: int,
@@ -529,7 +519,7 @@ def _canonical_buffer(state: SystemState) -> bytearray:
             buf += U64.pack(mp_id)
             buf += _DEC2 % (round(mp.x, 9) + 0.0, round(mp.y, 9) + 0.0)
             buf += _MP_TAIL.pack(mp.origin_landmark, len(mp.observers))
-            for kid in sorted(mp.observers):
+            for kid in mp.observers:
                 buf += ID.pack(kid.origin, kid.seq)
     return buf
 

@@ -157,17 +157,17 @@ def test_singular_system_leaves_map_unmodified(alloc):
     # Free pose (3 dof) plus its lone private point (2 dof) constrained by
     # a single observation (2 residuals): rank deficient by construction.
     keep = sorted(free.observations)[0]
-    for mid in list(free.observations):
-        if mid != keep:
-            m.map_points[mid].observers.discard(free.id)
     m.set_observations(free.id, [row for row in observation_rows(free.observations)
                                  if row[0] == keep])
     assert list(free.observations) == [keep]
     only_mp = m.map_points[keep]
-    only_mp.observers = {free.id}
     m.set_observations(anchor.id, [row for row in observation_rows(anchor.observations)
                                    if row[0] != keep])
     assert keep not in anchor.observations
+    # Replacing the columns moved the observers with them.
+    assert only_mp.observers == (free.id,)
+    assert all(free.id not in mp.observers
+               for mid, mp in m.map_points.items() if mid != keep)
     anchor.covisible = {free.id: 5}
     free.covisible = {anchor.id: 5}
     before_pose = free.pose
@@ -401,9 +401,10 @@ def test_guard_drops_near_pairs_and_orphaned_points():
     _place_near(m, center, shared, 1e-6)
     # A point back-projected from a range reading clamped to 1e-6 m.
     lone = max(m.map_points) + 1
-    m.add_point(MapPoint(lone, 0.0, 0.0, 999, {center}))
+    m.add_point(MapPoint(lone, 0.0, 0.0, 999))
     m.set_observations(center, observation_rows(m.keyframes[center].observations)
                        + [(lone, 999, 1e-6, 0.0)])
+    assert m.map_points[lone].observers == (center,)
     assert m.keyframes[center].observations[lone] == Observation(999, 1e-6, 0.0)
     _place_near(m, center, lone, 1e-6)
     lone_xy = (m.map_points[lone].x, m.map_points[lone].y)

@@ -210,19 +210,17 @@ def test_fusion_unions_observers(alloc):
     dup_src = sorted(m.map_points)[0]
     src = m.map_points[dup_src]
     from meshslam.core.types import MapPoint
-    dup = MapPoint(2**64 - 1, src.x + 0.01, src.y, src.origin_landmark,
-                   observers={kf.id})
+    dup = MapPoint(2**64 - 1, src.x + 0.01, src.y, src.origin_landmark, ())
     m.add_point(dup)
     observations = dict(kf.observations)
     observations[dup.id] = observations.pop(dup_src)
     m.set_observations(kf.id, observation_rows(observations))
     assert dup.id in kf.observations and dup_src not in kf.observations
-    src.observers.discard(kf.id)
 
     from meshslam.core.loops import _fuse_pair
     dead, surv = _fuse_pair(m, dup.id, dup_src)
     assert surv == dup_src and dead == dup.id  # older point survives
-    assert m.map_points[surv].observers == {k1, k2, kf.id}
+    assert m.map_points[surv].observers == (k1, k2, kf.id)
     assert dup.id not in m.map_points
     assert surv in kf.observations
 

@@ -73,6 +73,31 @@ def test_only_the_map_writers_change_map_structure():
         "add_keyframe", "add_point", "remove_point", "set_observations")}
 
 
+def test_only_the_map_writes_observers():
+    # Observers are the inverse of the keyframe columns, kept so by the Map
+    # writers that change the columns: nothing else assigns them, calls a
+    # method on them or hands a new point any.
+    found = []
+    for path in sorted(SRC.rglob("*.py")):
+        if path.relative_to(SRC) == Path("core/types.py"):
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            written = _stored_attribute(node) == "observers"
+            if isinstance(node, ast.Call):
+                func = node.func
+                written |= (isinstance(func, ast.Attribute)
+                            and isinstance(func.value, ast.Attribute)
+                            and func.value.attr == "observers")
+                written |= (isinstance(func, ast.Name) and func.id == "MapPoint"
+                            and (len(node.args) > 4
+                                 or any(k.arg == "observers"
+                                        for k in node.keywords)))
+            if written:
+                found.append(f"{path.relative_to(SRC)}:{node.lineno}")
+    assert found == []
+
+
 def _imported_modules(tree):
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):

@@ -26,6 +26,7 @@ from meshslam.state import (
     canonical_bytes,
     canonical_digest,
     collect_dirty,
+    note_fusions,
     observe_epoch,
 )
 from meshslam.state import _insert_keyframe
@@ -101,7 +102,27 @@ def test_insertion_refuses_a_dangling_observation():
     with pytest.raises(DanglingReference):
         _insert_keyframe(st, m, kf_payload(1, [mp(0), mp(5)]))
     assert KeyFrameId(1, 1) not in m.keyframes
-    assert m.map_points[mp(0)].observers == {KeyFrameId(1, 0)}
+    assert m.map_points[mp(0)].observers == (KeyFrameId(1, 0),)
+
+
+def test_new_point_fused_away_waits_for_its_survivor():
+    # mp(1) was fused into mp(9) before the keyframe carrying mp(1) as a new
+    # point arrived: the keyframe is inserted with mp(9) in its place, so it
+    # waits for mp(9) rather than failing on it.
+    st = SystemState()
+    apply_new_keyframe(st, kf_payload(0, [mp(0)], new=[mp(0)], origin=True))
+    note_fusions(st, {mp(1): mp(9)})
+    out = apply_new_keyframe(st, kf_payload(1, [mp(0), mp(1)], new=[mp(1)]))
+    assert out is PromotionOutcome.STAGED
+    m = st.slam[MAP]
+    assert KeyFrameId(1, 1) not in m.keyframes and mp(1) not in m.map_points
+
+    out = apply_new_keyframe(st, kf_payload(2, [mp(9)], new=[mp(9)]))
+    assert out is PromotionOutcome.PROMOTED
+    assert not st.staged_kfs.get(MAP)
+    assert m.keyframes[KeyFrameId(1, 1)].mp_ids.tolist() == sorted([mp(0), mp(9)])
+    assert m.map_points[mp(9)].observers == (KeyFrameId(1, 1), KeyFrameId(1, 2))
+    assert m.map_points[mp(0)].observers == (KeyFrameId(1, 0), KeyFrameId(1, 1))
 
 
 def test_keyframe_update_applies_or_stages():
