@@ -1,12 +1,11 @@
 #!/usr/bin/env python3
 """Bytes that hold each replica's map at the end of one benchmark world.
 
-    python3 scripts/map_memory.py --workload W [--seed S] [--scale K]
+    python3 scripts/map_memory.py --workload W [--seed S]
 
 Runs world 0 of workload W (the world whose seed is S) through
 ``meshslam.runner``: on the workload's mesh, with its faults, when it is
-distributed, and as the centralized oracle otherwise. ``--scale`` replaces
-the workload's world scale; 1 gives the catalog world. It prints one row
+distributed, and as the centralized oracle otherwise. It prints one row
 per replica (each node's promoted maps) and one over all replicas:
 keyframes, map points and observations, then the bytes of the points'
 observer containers, of the point objects with their fields, and of the
@@ -19,7 +18,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -57,6 +55,14 @@ def map_bytes(maps, seen: set[int]) -> dict[str, int]:
     return row
 
 
+def run_world(workload, seed: int):
+    """The runner's result for world 0 of a workload."""
+    spec = workload.spec(seed)
+    if workload.distributed:
+        return runner.run_distributed(spec, workload.topology())
+    return runner.run_centralized(spec)
+
+
 def replica_rows(result) -> list[tuple[str, dict[str, int]]]:
     """One row per node of a run, in role order, then the total."""
     seen: set[int] = set()
@@ -71,19 +77,9 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--workload", required=True, choices=sorted(WORKLOADS))
     parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--scale", type=int, default=None)
     args = parser.parse_args(argv)
-    workload = WORKLOADS[args.workload]
-    if args.scale is not None:
-        if args.scale < 1:
-            parser.error("--scale must be at least 1")
-        workload = replace(workload, scale=args.scale)
-    spec = workload.spec(args.seed)
-    if workload.distributed:
-        result = runner.run_distributed(spec, workload.topology())
-    else:
-        result = runner.run_centralized(spec)
-    print(f"{args.workload} seed {args.seed} scale {workload.scale}")
+    result = run_world(WORKLOADS[args.workload], args.seed)
+    print(f"{args.workload} seed {args.seed}")
     print(" ".join(f"{c:>14}" for c in COLUMNS))
     for name, row in replica_rows(result):
         print(f"{name:>14} " + " ".join(f"{row[c]:>14}" for c in COLUMNS[1:]))

@@ -266,13 +266,10 @@ class Map:
     inverse of the keyframe columns: ``add_keyframe`` and
     ``set_observations`` register and unregister the keyframe on the
     points the map holds, so a point is added before the keyframes that
-    observe it. ``rebuild_observers`` derives them all afresh, for a
-    caller that added points after their observers. Observer writes do
-    not move the version on their own. Poses, point positions and
-    covisibility are written in place and do not move it either.
-    ``latest_kf_id`` is the largest keyframe id; keyframes are never
-    removed from a map. ``structure_version``, ``track_cache`` and
-    ``latest_kf_id`` take no part in equality.
+    observe it. Observer writes do not move the version on their own.
+    Poses, point positions and covisibility are written in place and do
+    not move it either. ``structure_version`` and ``track_cache`` take no
+    part in equality.
     """
 
     map_id: MapId
@@ -282,13 +279,9 @@ class Map:
     initialized_optimized: bool = False
     structure_version: int = field(default=0, compare=False)
     track_cache: tuple = field(default=(None, None), compare=False, repr=False)
-    latest_kf_id: KeyFrameId | None = field(default=None, compare=False,
-                                            repr=False)
 
     def add_keyframe(self, kf: KeyFrame) -> None:
         self.keyframes[kf.id] = kf
-        if self.latest_kf_id is None or kf.id > self.latest_kf_id:
-            self.latest_kf_id = kf.id
         points = self.map_points
         for mp_id in kf.mp_ids.tolist():
             mp = points.get(mp_id)
@@ -323,21 +316,10 @@ class Map:
                 mp.observers = _with_observer(mp.observers, kf_id)
         self.structure_version += 1
 
-    def rebuild_observers(self) -> None:
-        """Derive every point's observers from the keyframe columns."""
-        points = self.map_points
-        for mp in points.values():
-            mp.observers = ()
-        for kf_id in sorted(self.keyframes):
-            for mp_id in self.keyframes[kf_id].mp_ids.tolist():
-                mp = points.get(mp_id)
-                if mp is not None:
-                    mp.observers += (kf_id,)
-
     def latest_keyframe_ids(self, n: int) -> list[KeyFrameId]:
         """The n largest keyframe ids (creation recency order)."""
-        if n == 1 and self.latest_kf_id is not None:
-            return [self.latest_kf_id]
+        if n == 1 and self.keyframes:
+            return [max(self.keyframes)]
         # Ids mostly arrive in ascending order, which sorts in linear time.
         return sorted(self.keyframes, reverse=True)[:n]
 

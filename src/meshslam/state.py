@@ -228,6 +228,9 @@ def apply_new_keyframe(state: SystemState, payload: NewKeyFramePayload
 
     map_id = resolve_map_id(state, payload.map_id)
     m = state.slam.get(map_id)
+    if m is not None and payload.is_map_origin and payload.map_id == map_id:
+        # The map was started by a merge before its origin arrived.
+        m.origin_kf = kf_id
     if m is None:
         if payload.is_map_origin:
             optimized = (payload.map_init_optimized
@@ -353,8 +356,14 @@ def _promote_global(state: SystemState, epoch: int) -> None:
 
     # Re-home an absorbed map's entities under the surviving map id.
     absorbed = next((b.absorbed_map for b in batches if b.absorbed_map), None)
-    if absorbed is not None and absorbed in state.slam and surviving is not None:
-        absorb_map(surviving, state.slam.pop(absorbed))
+    if absorbed is not None and absorbed in state.slam:
+        lost = state.slam.pop(absorbed)
+        if surviving is None:
+            # The survivor's keyframes are still in flight: its map starts
+            # here, and its origin keyframe names itself when it arrives.
+            surviving = Map(head.map_id, lost.origin_kf)
+            state.slam[head.map_id] = surviving
+        absorb_map(surviving, lost)
     note_merge(state, absorbed, head.map_id)
 
     for b in batches:
@@ -379,9 +388,6 @@ def _promote_global(state: SystemState, epoch: int) -> None:
     state.globally_optimized.add(head.map_id)
     if surviving is not None:
         surviving.initialized_optimized = True
-        # Snapshot points joined after their observers; rebuilding keeps
-        # the observers identical no matter when each keyframe arrived.
-        surviving.rebuild_observers()
         covis.rebuild_covisibility(surviving)
 
     state.paused = False

@@ -1,6 +1,7 @@
 """scripts/map_memory.py: counts and bytes of every replica's map."""
 
 import importlib.util
+from dataclasses import replace
 from pathlib import Path
 
 SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "map_memory.py"
@@ -9,21 +10,20 @@ map_memory = importlib.util.module_from_spec(spec)
 spec.loader.exec_module(map_memory)
 
 
-def test_prints_one_row_per_replica_and_their_total(capsys):
-    status = map_memory.main(["--workload", "two_segment_x2_faults",
-                              "--seed", "1", "--scale", "1"])
-    lines = capsys.readouterr().out.splitlines()
-    assert status == 0
-    assert lines[0] == "two_segment_x2_faults seed 1 scale 1"
-    assert lines[1].split() == list(map_memory.COLUMNS)
-    rows = {cells[0]: [int(v) for v in cells[1:]]
-            for cells in map(str.split, lines[2:])}
+def test_one_row_per_replica_and_their_total():
+    # The catalog world of the workload, at scale 1.
+    workload = replace(map_memory.WORKLOADS["two_segment_x2_faults"], scale=1)
+    rows = dict(map_memory.replica_rows(map_memory.run_world(workload, 1)))
     assert list(rows) == ["lc", "lm", "tr", "all"]
+    assert all(list(row) == list(map_memory.COLUMNS[1:])
+               for row in rows.values())
     # The replicas converge, so they hold the same map, in objects of
     # their own.
-    assert rows["lc"][:3] == rows["lm"][:3] == rows["tr"][:3]
-    keyframes, points, observations = rows["tr"][:3]
+    counts = [tuple(rows[r][c] for c in ("keyframes", "points", "observations"))
+              for r in ("lc", "lm", "tr")]
+    assert counts[0] == counts[1] == counts[2]
+    keyframes, points, observations = counts[0]
     assert 0 < keyframes < points < observations
-    assert rows["all"] == [sum(col) for col in zip(
-        rows["lc"], rows["lm"], rows["tr"])]
-    assert all(v > 0 for v in rows["all"])
+    assert rows["all"] == {c: rows["lc"][c] + rows["lm"][c] + rows["tr"][c]
+                           for c in map_memory.COLUMNS[1:]}
+    assert all(v > 0 for v in rows["all"].values())

@@ -3,6 +3,7 @@ keyframe observation columns, under every structural write."""
 
 import functools
 import math
+import random
 import tracemalloc
 
 import numpy as np
@@ -29,6 +30,7 @@ from meshslam.state import (
     SystemState,
     apply_map_batch,
     apply_new_keyframe,
+    canonical_digest,
     note_fusions,
     note_merge,
     split_batches,
@@ -141,14 +143,13 @@ class World:
         note_fusions(self.src, fused)
         self.publish_global(m, BatchKind.LC, fused.items())
 
-    def merge(self, order):
-        """Merge the corridor maps, as the loop closer does. The replica
-        gets every keyframe first: one that holds the absorbed map but not
-        the survivor leaves the two apart and then refuses the survivor's
-        keyframes (DanglingReference)."""
+    def merge(self, order, deliver=True):
+        """Merge the corridor maps, as the loop closer does, delivering
+        the pending keyframes first or leaving them in flight."""
         if len(self.src.slam) < 2:
             return
-        self.replicate(order)
+        if deliver:
+            self.replicate(order)
         a, b = sorted(self.src.slam)
         kf_id = max(self.src.slam[b].keyframes)
         cand = LoopCandidate(CandidateKind.MERGE, kf_id, max(
@@ -163,7 +164,8 @@ class World:
                             record.fused.items(), record.absorbed_map)
 
 
-OPS = ("extend_a", "extend_b", "replicate", "fuse", "merge", "promote")
+OPS = ("extend_a", "extend_b", "replicate", "fuse", "merge", "merge_in_flight",
+       "promote")
 
 
 @settings(max_examples=200, deadline=None)
@@ -189,11 +191,40 @@ def test_every_structural_write_moves_the_version(steps, order):
             world.fuse(pick)
         elif op == "merge":
             world.merge(order)
+        elif op == "merge_in_flight":
+            world.merge(order, deliver=False)
         else:
             m = world.src.slam[min(world.src.slam)]
             world.publish_global(m, BatchKind.GBA)
         for m in world.maps():
             check_structure(m)
+    # Every keyframe in flight promotes once all have arrived.
+    world.replicate(order)
+    assert not world.dst.staged_kfs
+    for m in world.maps():
+        check_structure(m)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_merge_in_flight_converges_on_the_replica(seed):
+    # The replica holds the first corridor's map when the merge promotes,
+    # and none of the second's keyframes. The second map has more
+    # keyframes and survives, and merged points keep the first map's ids.
+    world = World()
+    world.extend(0)
+    order = random.Random(seed)
+    world.replicate(order)
+    world.extend(1)
+    world.extend(1)
+    world.merge(order, deliver=False)
+    (survivor,) = world.src.slam
+    assert list(world.dst.slam) == [survivor]
+    # The survivor's keyframes arrive after the merge, observing the
+    # first map's points where theirs were fused.
+    world.replicate(order)
+    assert not world.dst.staged_kfs
+    assert canonical_digest(world.dst) == canonical_digest(world.src)
+    check_structure(world.dst.slam[survivor])
 
 
 def test_window_is_rebuilt_only_when_the_structure_moves(alloc):
