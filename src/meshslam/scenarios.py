@@ -1,23 +1,33 @@
 """Synthetic worlds with ground truth: landmark fields and trajectories.
 
 Frames are sampled at a fixed 20 Hz. Identical spec and seed give a
-byte-identical frame stream; every random draw comes from one seeded
-generator in a fixed order: the landmark field, then per frame the
-odometry noise and one block of observation noise.
+byte-identical frame stream, equal to that of a per-landmark scalar loop
+(the reference in the tests). Every random draw comes from one seeded
+generator: first the landmark field, then one ``rng.standard_normal(n)``
+per chunk of ``GEN_CHUNK_FRAMES`` consecutive frames. A chunk's draw
+covers, frame by frame, the frame's 3 odometry values (frame 0 has none)
+and then its observation block: one row per visible landmark in ascending
+id order and one column per positive sigma (range, then bearing). The
+generator's draws are sequential, so this is the order of the scalar
+draws it replaces, and ``0.0 + sigma * z`` is the IEEE operation
+``rng.normal(0.0, sigma)`` performs.
 
-The block is ``rng.standard_normal((n_visible, draws))``, one row per
-visible landmark in ascending id order and one column per positive sigma
-(range, then bearing), so its C order is the order of the per-landmark
-scalar draws it replaces; ``0.0 + sigma * z`` is the IEEE operation
-``rng.normal(0.0, sigma)`` performs. Range and bearing stay on scalar
-``math.hypot``/``math.atan2`` mapped over Python floats: numpy's
-``hypot`` and ``arctan2`` differ from them in the last bit on some
-inputs, and frames must equal those of a per-landmark scalar loop.
+Visibility is decided as the scalar loop decides it, by
+``np.hypot(lx - x, ly - y) <= sensor_range``. A chunk first takes the
+landmarks in its poses' bounding box widened by the range, then keeps the
+(frame, landmark) pairs within a squared-distance bound widened by a
+relative 1e-9. That pre-test only drops pairs far outside the range; the rounding
+of a squared distance could decide a pair at the edge differently from
+``hypot``, so the exact test still runs on what survives. Range and
+bearing stay on scalar ``math.hypot``/``math.atan2`` mapped over Python
+floats: numpy's ``hypot`` and ``arctan2`` differ from them in the last bit
+on some inputs.
 
-A frame keeps its observations as the id, range and bearing arrays the
-generator computes (see ``Frame``), not as one ``Observation`` object per
-measurement: a long run holds tens of thousands of measurements, and the
-arrays take a fraction of the objects' memory.
+A frame keeps its observations as id, range and bearing columns (see
+``Frame``), not as one ``Observation`` object per measurement: a long run
+holds tens of thousands of measurements, and the columns take a fraction
+of the objects' memory. The columns are read-only slices of their chunk's
+arrays, which are read-only too.
 """
 
 from __future__ import annotations
@@ -34,6 +44,8 @@ from meshslam.core.types import Frame, SlamError
 from meshslam.geometry import Pose2, wrap_angle
 
 FRAME_RATE_HZ = 20.0
+# Frames generated per vectorised pass (see the module docstring).
+GEN_CHUNK_FRAMES = 32
 
 
 class EmptyWorld(SlamError):
@@ -60,6 +72,12 @@ class ScenarioSpec:
     seed: int
 
     def __post_init__(self) -> None:
+        for name in ("n_frames", "landmark_count", "seed"):
+            value = getattr(self, name)
+            if type(value) is not int:
+                raise ValueError(f"{name} must be an int: {value!r}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0: {self.seed!r}")
         if not self.n_frames >= 2:
             raise ValueError(f"n_frames must be >= 2: {self.n_frames!r}")
         if not self.landmark_count >= 1:
@@ -117,19 +135,20 @@ def _polyline_poses(waypoints: list[tuple[float, float]], n: int) -> list[Pose2]
         length = math.hypot(bx - ax, by - ay)
         segs.append((ax, ay, bx, by, length))
         total += length
+    # s never decreases, so one cursor walks the segments; acc is the
+    # length before segment i, summed in segment order.
     poses = []
+    i, acc = 0, 0.0
     for k in range(n):
         s = total * k / (n - 1)
-        acc = 0.0
-        for ax, ay, bx, by, length in segs:
-            if s <= acc + length or (ax, ay, bx, by, length) == segs[-1]:
-                f = 0.0 if length == 0 else (s - acc) / length
-                f = min(max(f, 0.0), 1.0)
-                heading = math.atan2(by - ay, bx - ax)
-                poses.append(Pose2(ax + f * (bx - ax), ay + f * (by - ay),
-                                   heading))
-                break
-            acc += length
+        while i < len(segs) - 1 and s > acc + segs[i][4]:
+            acc += segs[i][4]
+            i += 1
+        ax, ay, bx, by, length = segs[i]
+        f = 0.0 if length == 0 else (s - acc) / length
+        f = min(max(f, 0.0), 1.0)
+        heading = math.atan2(by - ay, bx - ax)
+        poses.append(Pose2(ax + f * (bx - ax), ay + f * (by - ay), heading))
     return poses
 
 
@@ -200,24 +219,80 @@ def _wrap_angles(t: np.ndarray) -> np.ndarray:
                     np.where(t > math.pi, t - 2.0 * math.pi, t))
 
 
-def _observe(spec: ScenarioSpec, rng: np.random.Generator, pose: Pose2,
-             ids: np.ndarray, lx: np.ndarray, ly: np.ndarray
-             ) -> tuple[np.ndarray, np.ndarray]:
-    """Noisy ranges and bearings of landmarks ``ids`` (ascending), drawing
-    the frame's noise block."""
-    dx = (lx[ids] - pose.x).tolist()
-    dy = (ly[ids] - pose.y).tolist()
-    r = np.array(list(map(math.hypot, dx, dy)))
-    b = _wrap_angles(np.array(list(map(math.atan2, dy, dx))) - pose.theta)
+def _chunk_frames(spec: ScenarioSpec, rng: np.random.Generator,
+                  lx: np.ndarray, ly: np.ndarray, poses: list[Pose2],
+                  blackout: set[int], start: int, stop: int) -> list[Frame]:
+    """Frames ``start`` up to ``stop``, drawing their noise."""
+    m = stop - start
+    chunk = poses[start:stop]
+    px = np.array([p.x for p in chunk])
+    py = np.array([p.y for p in chunk])
+    # Candidates lie in the chunk's bounding box widened by the sensor
+    # range; the 1 m margin keeps rounding at the box's edge from dropping
+    # one.
+    reach = spec.sensor_range + 1.0
+    cand = np.flatnonzero((lx >= px.min() - reach) & (lx <= px.max() + reach)
+                          & (ly >= py.min() - reach) & (ly <= py.max() + reach))
+    # Squared-distance pre-test of every frame against every candidate. Its
+    # bound is widened relatively, so it keeps every pair the exact test
+    # below accepts.
+    d2 = lx[cand] - px[:, None]
+    d2 *= d2
+    dy2 = ly[cand] - py[:, None]
+    dy2 *= dy2
+    d2 += dy2
+    near = d2 <= (spec.sensor_range * (1.0 + 1e-9)) ** 2
+    del d2, dy2
+    near &= np.array([k not in blackout for k in range(start, stop)])[:, None]
+    # Pairs come row-major: frame by frame, each frame's ids ascending.
+    rows, cols = np.nonzero(near)
+    ids = cand[cols]
+    dx = lx[ids] - px[rows]
+    dy = ly[ids] - py[rows]
+    seen = np.hypot(dx, dy) <= spec.sensor_range
+    rows, ids, dx, dy = rows[seen], ids[seen], dx[seen], dy[seen]
+    counts = np.bincount(rows, minlength=m)
+    ends = np.cumsum(counts)
+    n = len(ids)
+    dx, dy = dx.tolist(), dy.tolist()
+    r = np.fromiter(map(math.hypot, dx, dy), float, n)
+    b = _wrap_angles(np.fromiter(map(math.atan2, dy, dx), float, n)
+                     - np.array([p.theta for p in chunk])[rows])
+    del dx, dy
+
+    # One draw in the scalar loop's order: per frame, 3 odometry values
+    # (frame 0 has none), then one value per sigma for each observation.
+    first = 1 if start == 0 else 0  # leading chunk frames without odometry
     draws = (spec.sigma_range > 0) + (spec.sigma_bearing > 0)
-    if draws:
-        columns = iter(rng.standard_normal((len(dx), draws)).T)
-        if spec.sigma_range > 0:
-            r = r + (0.0 + spec.sigma_range * next(columns))
-        if spec.sigma_bearing > 0:
-            b = b + (0.0 + spec.sigma_bearing * next(columns))
+    z = rng.standard_normal(3 * (m - first) + draws * n)
+    odo_at = 3 * np.arange(m - first) + draws * (ends - counts)[first:]
+    odometry = 0.0 + spec.sigma_odometry * z[odo_at[:, None] + np.arange(3)]
+    at = 3 * (rows + 1 - first) + draws * np.arange(n)
+    if spec.sigma_range > 0:
+        r = r + (0.0 + spec.sigma_range * z[at])
+        at += 1
+    if spec.sigma_bearing > 0:
+        b = b + (0.0 + spec.sigma_bearing * z[at])
     r[r <= 0.0] = 1e-6
-    return r, _wrap_angles(b)
+    b = _wrap_angles(b)
+    # Frames hold views of these; a read-only base keeps them read-only.
+    for column in (ids, r, b):
+        column.flags.writeable = False
+
+    frames = []
+    noise = zip(*odometry.T)  # np.float64 triples, as rng.normal gives
+    lo = 0
+    for k, hi in zip(range(start, stop), ends.tolist()):
+        if k == 0:
+            delta = Pose2()
+        else:
+            rel = poses[k].relative_to(poses[k - 1])
+            n0, n1, n2 = next(noise)
+            delta = Pose2(rel.x + n0, rel.y + n1, wrap_angle(rel.theta + n2))
+        frames.append(Frame(k, k / FRAME_RATE_HZ, delta, ids[lo:hi],
+                            r[lo:hi], b[lo:hi]))
+        lo = hi
+    return frames
 
 
 def generate_scenario(spec: ScenarioSpec
@@ -228,42 +303,14 @@ def generate_scenario(spec: ScenarioSpec
     lx = rng.uniform(x0, x1, spec.landmark_count)
     ly = rng.uniform(y0, y1, spec.landmark_count)
     poses, blackout = _trajectory(spec)
-    # Each frame measures distances only in the x-window around the pose.
-    # The 1 m margin keeps rounding at the window's edge from dropping one.
-    reach = spec.sensor_range + 1.0
-
-    # Frames that see nothing share one set of (read-only) empty columns.
-    no_ids, no_values = np.empty(0, dtype=np.int64), np.empty(0)
-
     frames: list[Frame] = []
-    ground_truth = []
-    any_obs = False
-    prev: Pose2 | None = None
-    for k, pose in enumerate(poses):
-        t = k / FRAME_RATE_HZ
-        ground_truth.append((t, pose.x, pose.y, pose.theta))
-        if prev is None:
-            delta = Pose2()
-        else:
-            delta = pose.relative_to(prev)
-            noise = rng.normal(0.0, spec.sigma_odometry, 3)
-            delta = Pose2(delta.x + noise[0], delta.y + noise[1],
-                          wrap_angle(delta.theta + noise[2]))
-        ids, ranges, bearings = no_ids, no_values, no_values
-        if k not in blackout:
-            # Ascending ids, which is the noise draw order.
-            near = np.flatnonzero((lx >= pose.x - reach)
-                                  & (lx <= pose.x + reach))
-            dist = np.hypot(lx[near] - pose.x, ly[near] - pose.y)
-            seen = near[dist <= spec.sensor_range]
-            if len(seen):
-                ids = seen
-                ranges, bearings = _observe(spec, rng, pose, ids, lx, ly)
-                any_obs = True
-        frames.append(Frame(k, t, delta, ids, ranges, bearings))
-        prev = pose
-    if not any_obs:
+    for start in range(0, len(poses), GEN_CHUNK_FRAMES):
+        frames += _chunk_frames(spec, rng, lx, ly, poses, blackout, start,
+                                min(start + GEN_CHUNK_FRAMES, len(poses)))
+    if not any(len(f.landmark_ids) for f in frames):
         raise EmptyWorld("no landmark observable in any frame")
+    ground_truth = [(k / FRAME_RATE_HZ, p.x, p.y, p.theta)
+                    for k, p in enumerate(poses)]
     return frames, ground_truth
 
 

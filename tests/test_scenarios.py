@@ -11,9 +11,11 @@ from meshslam.policy import Role
 from meshslam.runner import run_centralized
 from meshslam.scenarios import (
     FRAME_RATE_HZ,
+    GEN_CHUNK_FRAMES,
     EmptyWorld,
     ScenarioSpec,
     TrajectoryKind,
+    _polyline_poses,
     _trajectory,
     default_scenario,
     generate_scenario,
@@ -132,6 +134,13 @@ IDENTITY_SPECS = [
     replace(_LOOP, sigma_range=5.0),
     # Small enough that some frames see nothing.
     replace(_LOOP, sensor_range=0.5),
+    # Chunk boundaries: one short chunk, a whole one, and one frame past it.
+    *(replace(_LOOP, n_frames=n) for n in (
+        2, GEN_CHUNK_FRAMES - 1, GEN_CHUNK_FRAMES, GEN_CHUNK_FRAMES + 1)),
+    # Sparse enough that a whole chunk sees nothing.
+    replace(_LOOP, landmark_count=20, sensor_range=3.0),
+    # The world of loop_x3_oracle, seed 1.
+    _scaled(TrajectoryKind.LOOP, 1, 3),
 ]
 
 
@@ -165,6 +174,16 @@ def test_frame_columns_are_read_only():
         built.ranges[0] = 2.0
 
 
+def test_generated_columns_cannot_be_made_writeable():
+    # Frames view their chunk's arrays, which are read-only too; a frame's
+    # column can therefore not be made writeable again, even when empty.
+    frames, _ = generate_scenario(replace(_LOOP, sensor_range=0.5))
+    for frame in frames:
+        for column in (frame.landmark_ids, frame.ranges, frame.bearings):
+            with pytest.raises(ValueError):
+                column.flags.writeable = True
+
+
 def test_frame_equality_compares_column_bytes():
     obs = (Observation(1, 2.0, 0.0), Observation(4, 3.0, -0.5))
     frame = Frame.from_observations(7, 0.35, Pose2(0.1, 0.0, 0.0), obs)
@@ -196,6 +215,21 @@ def test_identity_specs_cover_empty_frames_and_clamp():
     assert any(f.observations for f in frames)
     frames, _ = generate_scenario(replace(_LOOP, sigma_range=5.0))
     assert any(o.range == 1e-6 for f in frames for o in f.observations)
+    frames, _ = generate_scenario(replace(_LOOP, landmark_count=20,
+                                          sensor_range=3.0))
+    seen = [any(len(f.landmark_ids) for f in frames[k:k + GEN_CHUNK_FRAMES])
+            for k in range(0, len(frames), GEN_CHUNK_FRAMES)]
+    assert not all(seen) and any(seen)
+
+
+def test_polyline_reaching_a_repeated_segment_moves_on():
+    # The last segment repeats the first: frames on the middle segment
+    # must not be clamped onto the first one's end.
+    poses = _polyline_poses([(0.0, 0.0), (1.0, 0.0), (0.0, 0.0), (1.0, 0.0)], 7)
+    assert poses == [Pose2(0.0, 0.0, 0.0), Pose2(0.5, 0.0, 0.0),
+                     Pose2(1.0, 0.0, 0.0), Pose2(0.5, 0.0, math.pi),
+                     Pose2(0.0, 0.0, math.pi), Pose2(0.5, 0.0, 0.0),
+                     Pose2(1.0, 0.0, 0.0)]
 
 
 @pytest.mark.parametrize("field, value", [
@@ -210,6 +244,12 @@ def test_identity_specs_cover_empty_frames_and_clamp():
     ("bbox", (-12.0, 12.0, 12.0, -12.0)),
     ("bbox", (-12.0, -12.0, math.nan, 12.0)),
     ("bbox", (-12.0, -12.0, 12.0)),
+    ("n_frames", 2.5),
+    ("n_frames", True),
+    ("landmark_count", 3.0),
+    ("seed", -1),
+    ("seed", 1.5),
+    ("seed", True),
 ])
 def test_spec_rejects_bad_values_naming_the_field(field, value):
     with pytest.raises(ValueError, match=field):

@@ -115,3 +115,32 @@ def test_library_imports_no_scipy():
              for name in _imported_modules(ast.parse(path.read_text()))
              if name.split(".")[0] == "scipy"]
     assert found == []
+
+
+SORT_SEARCH_FUNCTIONS = {"sort", "argsort", "searchsorted", "unique", "isin",
+                         "lexsort", "partition", "median", "percentile"}
+
+
+def test_library_calls_no_numpy_sort_or_search_kernel():
+    # Loading numpy's sort and search kernels costs resident memory: a
+    # prototype that matched ids with argsort/searchsorted raised the
+    # benchmark's peak RSS by 0.2-0.46 MB. Ids stay ascending by
+    # construction instead (generation, keyframe columns, observers).
+    found = []
+    for path in sorted(SRC.rglob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute):
+                hit = (node.attr in {"argsort", "searchsorted"}
+                       or (node.attr in SORT_SEARCH_FUNCTIONS
+                           and isinstance(node.value, ast.Name)
+                           and node.value.id in {"np", "numpy"}))
+            elif isinstance(node, ast.ImportFrom):
+                hit = ((node.module or "").split(".")[0] == "numpy"
+                       and any(a.name in SORT_SEARCH_FUNCTIONS
+                               for a in node.names))
+            else:
+                continue
+            if hit:
+                found.append(f"{path.relative_to(SRC)}:{node.lineno}")
+    assert found == []
